@@ -273,7 +273,7 @@ readChains(Reader &r)
     uint64_t n = r.u64();
     for (uint64_t i = 0; i < n && r.ok(); ++i) {
         uint64_t len = r.u64();
-        if (len * 4 > r.remaining()) {
+        if (len > r.remaining() / 4) {
             while (r.ok())
                 r.u64();
             break;
@@ -354,7 +354,7 @@ readDecode(Reader &r)
         cl.weight = r.u64();
         cl.hard = r.u8() != 0;
         uint64_t nlits = r.u64();
-        if (nlits * 4 > r.remaining()) {
+        if (nlits > r.remaining() / 4) {
             while (r.ok())
                 r.u64();
             break;
@@ -437,10 +437,11 @@ deserializeQo(std::string_view bytes, std::string *error)
         return std::nullopt;
     }
 
-    // The netlist is not serialized: compile() itself materializes it
-    // by re-reading the EDIF it just emitted, so reconstructing from
-    // the stored text reproduces the original exactly.  Netlist-less
-    // frontends (DIMACS) store no EDIF and keep an empty netlist.
+    // The netlist is not serialized: compile() materializes exactly the
+    // netlist its EDIF text denotes (edif::denotedNetlist, equal to
+    // readEdif of that text), so reading the stored text reproduces
+    // the original.  Netlist-less frontends (DIMACS) store no EDIF and
+    // keep an empty netlist.
     if (!res.edif_text.empty()) {
         try {
             res.netlist = edif::readEdif(res.edif_text);

@@ -1,8 +1,9 @@
 #include "qac/edif/reader.h"
 
 #include <map>
-#include <optional>
+#include <set>
 
+#include "qac/edif/lower.h"
 #include "qac/stats/registry.h"
 #include "qac/util/logging.h"
 #include "qac/util/strings.h"
@@ -45,18 +46,15 @@ childByHead(const Node &n, const char *kw)
     return nullptr;
 }
 
-struct PortInfo
-{
-    std::string ident;
-    std::string display;
-    bool is_input = false;
-};
+using detail::Instance;
+using detail::kNoNet;
+using detail::PortDecl;
 
 struct CellInfo
 {
     std::string ident;
     std::string display;
-    std::vector<PortInfo> ports;
+    std::vector<PortDecl> ports;
     const Node *contents = nullptr;
 };
 
@@ -85,7 +83,7 @@ struct Reader
             for (const auto &p : iface->items()) {
                 if (!p.isList() || !isKw(p.head(), "port"))
                     continue;
-                PortInfo pi;
+                PortDecl pi;
                 auto [pid, pdisp] = readName(p[1]);
                 pi.ident = pid;
                 pi.display = pdisp;
@@ -139,12 +137,10 @@ struct Reader
         const CellInfo &top = top_it->second;
 
         nl.setName(top.display);
-        buildTop(top);
-        nl.check();
-        return std::move(nl);
+        return buildTop(top);
     }
 
-    void
+    netlist::Netlist
     buildTop(const CellInfo &top)
     {
         // Pass 1: instances.
@@ -173,10 +169,9 @@ struct Reader
             insts[iname] = Inst{&cit->second, {}};
         }
 
-        // Top port bits: ident -> (display name, direction).
-        std::map<std::string, PortInfo> top_ports;
+        std::set<std::string> top_ports; // idents
         for (const auto &p : top.ports)
-            top_ports[p.ident] = p;
+            top_ports.insert(p.ident);
         std::map<std::string, NetId> top_port_net;
 
         // Pass 2: nets.
@@ -212,102 +207,121 @@ struct Reader
             }
         }
 
-        // Materialize constants, then gates.
+        // Resolve each instance's pins in its cell's pin order.
+        std::vector<Instance> resolved;
+        resolved.reserve(insts.size());
         for (auto &[iname, inst] : insts) {
+            auto pin = [&](const std::string &name) {
+                auto it = inst.conns.find(name);
+                return it == inst.conns.end() ? kNoNet : it->second;
+            };
+            Instance r;
+            r.name = iname;
             const std::string &cell = inst.cell->ident;
             if (cell == "GND" || cell == "VCC") {
-                auto it = inst.conns.find("Y");
-                if (it != inst.conns.end()) {
-                    NetId target = (cell == "GND") ? netlist::kConst0
-                                                   : netlist::kConst1;
-                    remapNet(it->second, target, insts, top_port_net);
-                }
-                continue;
-            }
-            cells::GateType type = cells::gateTypeByName(cell);
-            const auto &info = cells::gateInfo(type);
-            std::vector<NetId> ins;
-            for (const auto &pin : info.inputs) {
-                auto it = inst.conns.find(pin);
-                if (it == inst.conns.end())
-                    fatal("edif: instance %s input %s unconnected",
-                          iname.c_str(), pin.c_str());
-                ins.push_back(it->second);
-            }
-            auto oit = inst.conns.find(info.output);
-            if (oit == inst.conns.end())
-                fatal("edif: instance %s output unconnected",
-                      iname.c_str());
-            nl.addGate(type, std::move(ins), oit->second);
-        }
-
-        // Group top port bits into buses by display name "base[i]".
-        struct BusBit
-        {
-            size_t index;
-            NetId net;
-        };
-        std::map<std::string, std::vector<BusBit>> buses;
-        std::vector<std::pair<std::string, bool>> scalar_order;
-        for (const auto &p : top.ports) {
-            auto nit = top_port_net.find(p.ident);
-            NetId net = (nit != top_port_net.end()) ? nit->second
-                                                    : nl.newNet(p.display);
-            std::string base = p.display;
-            size_t idx = 0;
-            bool is_bus = false;
-            size_t lb = p.display.rfind('[');
-            if (lb != std::string::npos && p.display.back() == ']') {
-                is_bus = true;
-                base = p.display.substr(0, lb);
-                idx = static_cast<size_t>(std::stoul(
-                    p.display.substr(lb + 1,
-                                     p.display.size() - lb - 2)));
-            }
-            if (is_bus) {
-                if (!buses.count(base))
-                    scalar_order.emplace_back(base, p.is_input);
-                buses[base].push_back({idx, net});
+                r.kind = cell == "GND" ? Instance::Kind::Gnd
+                                       : Instance::Kind::Vcc;
+                r.pins = {pin("Y")};
             } else {
-                if (!buses.count(base))
-                    scalar_order.emplace_back(base, p.is_input);
-                buses[base].push_back({0, net});
+                r.type = cells::gateTypeByName(cell);
+                const auto &info = cells::gateInfo(r.type);
+                for (const auto &in : info.inputs)
+                    r.pins.push_back(pin(in));
+                r.pins.push_back(pin(info.output));
             }
+            resolved.push_back(std::move(r));
         }
-        for (const auto &[base, is_input] : scalar_order) {
-            auto &bits = buses[base];
-            std::vector<NetId> ordered(bits.size(), netlist::kConst0);
-            for (const auto &b : bits) {
-                if (b.index >= ordered.size())
-                    fatal("edif: port %s has non-contiguous bit %zu",
-                          base.c_str(), b.index);
-                ordered[b.index] = b.net;
-            }
-            nl.addPortOver(base,
-                           is_input ? netlist::PortDir::Input
-                                    : netlist::PortDir::Output,
-                           std::move(ordered));
-        }
-    }
-
-    /** Rewrite all recorded uses of @p from to @p to (constants). */
-    template <typename Insts, typename TopPorts>
-    void
-    remapNet(NetId from, NetId to, Insts &insts, TopPorts &top_port_net)
-    {
-        for (auto &[iname, inst] : insts) {
-            (void)iname;
-            for (auto &[port, net] : inst.conns)
-                if (net == from)
-                    net = to;
-        }
-        for (auto &[port, net] : top_port_net)
-            if (net == from)
-                net = to;
+        return detail::lowerTop(std::move(nl), resolved, top.ports,
+                                top_port_net);
     }
 };
 
 } // namespace
+
+namespace detail {
+
+netlist::Netlist
+lowerTop(netlist::Netlist nl, std::vector<Instance> &insts,
+         const std::vector<PortDecl> &ports,
+         std::map<std::string, NetId> &port_nets)
+{
+    // Rewrite all recorded uses of @p from to the constant net @p to.
+    auto remap = [&](NetId from, NetId to) {
+        for (auto &inst : insts)
+            for (NetId &net : inst.pins)
+                if (net == from)
+                    net = to;
+        for (auto &[ident, net] : port_nets)
+            if (net == from)
+                net = to;
+    };
+
+    // Materialize constants, then gates.
+    for (const auto &inst : insts) {
+        if (inst.kind != Instance::Kind::Gate) {
+            if (inst.pins[0] != kNoNet)
+                remap(inst.pins[0], inst.kind == Instance::Kind::Gnd
+                                        ? netlist::kConst0
+                                        : netlist::kConst1);
+            continue;
+        }
+        const auto &info = cells::gateInfo(inst.type);
+        for (size_t k = 0; k < info.inputs.size(); ++k)
+            if (inst.pins[k] == kNoNet)
+                fatal("edif: instance %s input %s unconnected",
+                      inst.name.c_str(), info.inputs[k].c_str());
+        if (inst.pins.back() == kNoNet)
+            fatal("edif: instance %s output unconnected",
+                  inst.name.c_str());
+        nl.addGate(inst.type,
+                   std::vector<NetId>(inst.pins.begin(),
+                                      inst.pins.end() - 1),
+                   inst.pins.back());
+    }
+
+    // Group top port bits into buses by display name "base[i]".
+    struct BusBit
+    {
+        size_t index;
+        NetId net;
+    };
+    std::map<std::string, std::vector<BusBit>> buses;
+    std::vector<std::pair<std::string, bool>> scalar_order;
+    for (const auto &p : ports) {
+        auto nit = port_nets.find(p.ident);
+        NetId net = (nit != port_nets.end()) ? nit->second
+                                             : nl.newNet(p.display);
+        std::string base = p.display;
+        size_t idx = 0;
+        size_t lb = p.display.rfind('[');
+        if (lb != std::string::npos && p.display.back() == ']') {
+            base = p.display.substr(0, lb);
+            idx = static_cast<size_t>(std::stoul(
+                p.display.substr(lb + 1, p.display.size() - lb - 2)));
+        }
+        if (!buses.count(base))
+            scalar_order.emplace_back(base, p.is_input);
+        buses[base].push_back({idx, net});
+    }
+    for (const auto &[base, is_input] : scalar_order) {
+        auto &bits = buses[base];
+        std::vector<NetId> ordered(bits.size(), netlist::kConst0);
+        for (const auto &b : bits) {
+            if (b.index >= ordered.size())
+                fatal("edif: port %s has non-contiguous bit %zu",
+                      base.c_str(), b.index);
+            ordered[b.index] = b.net;
+        }
+        nl.addPortOver(base,
+                       is_input ? netlist::PortDir::Input
+                                : netlist::PortDir::Output,
+                       std::move(ordered));
+    }
+    nl.check();
+    return nl;
+}
+
+} // namespace detail
 
 netlist::Netlist
 fromSExpr(const Node &root)

@@ -7,7 +7,8 @@
  * from their (rename ident "name[i]") originals and lowering GND/VCC
  * instances onto the constant nets.  This is the paper's edif2qmasm
  * input stage: "An EDIF netlist is represented by a single, large
- * s-expression, which makes it easy to parse mechanically."
+ * s-expression, which makes it easy to parse mechanically."  The .qo
+ * loader uses it to rebuild a compiled netlist from the stored text.
  */
 
 #ifndef QAC_EDIF_READER_H

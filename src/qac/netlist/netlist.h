@@ -35,6 +35,8 @@ struct Gate
     cells::GateType type;
     std::vector<NetId> inputs; ///< in gateInfo(type).inputs order
     NetId output;
+
+    bool operator==(const Gate &) const = default;
 };
 
 enum class PortDir { Input, Output };
@@ -47,6 +49,8 @@ struct Port
     std::vector<NetId> bits;
 
     size_t width() const { return bits.size(); }
+
+    bool operator==(const Port &) const = default;
 };
 
 /** A flat, single-module gate-level netlist. */
@@ -108,6 +112,9 @@ class Netlist
      * violation.
      */
     void check() const;
+
+    /** Structural equality: name, net names, gates and ports. */
+    bool operator==(const Netlist &) const = default;
 
   private:
     std::string name_ = "top";

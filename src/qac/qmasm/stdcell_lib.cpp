@@ -85,11 +85,13 @@ stdcellLibrary()
     return lib;
 }
 
-std::string
+const std::string &
 stdcellText()
 {
-    return "# QAC standard-cell library (paper Table 5)\n" +
+    static const std::string text =
+        "# QAC standard-cell library (paper Table 5)\n" +
         stdcellLibrary().toString();
+    return text;
 }
 
 IncludeResolver

@@ -17,8 +17,8 @@ namespace qac::qmasm {
 /** Macro-only program holding the standard-cell library (cached). */
 const Program &stdcellLibrary();
 
-/** The library as QMASM text (the stdcell.qmasm artifact). */
-std::string stdcellText();
+/** The library as QMASM text (the stdcell.qmasm artifact; cached). */
+const std::string &stdcellText();
 
 /** Include resolver mapping "stdcell.qmasm" to stdcellText(). */
 IncludeResolver stdcellResolver();

@@ -1,6 +1,7 @@
 #include "qac/sexpr/sexpr.h"
 
 #include <cctype>
+#include <iterator>
 
 #include "qac/util/logging.h"
 
@@ -144,7 +145,14 @@ Node::toString(bool pretty) const
 
 namespace {
 
-/** Recursive-descent s-expression reader with position tracking. */
+/**
+ * Deepest list nesting the reader accepts.  EDIF nests about ten deep;
+ * the bound keeps hostile input (EDIF stored in a .qo, say) from
+ * overflowing the stack of the recursive descent.
+ */
+constexpr size_t kMaxDepth = 1000;
+
+/** Recursive-descent s-expression reader. */
 class Reader
 {
   public:
@@ -174,93 +182,106 @@ class Reader
     }
 
   private:
+    /** Fatal with the 1-based line and column of the current position. */
     [[noreturn]] void
     fail(const std::string &msg)
     {
-        fatal("sexpr parse error at line %zu, column %zu: %s", line_, col_,
+        size_t line = 1, col = 1;
+        for (size_t i = 0; i < pos_ && i < src_.size(); ++i) {
+            if (src_[i] == '\n') {
+                ++line;
+                col = 1;
+            } else {
+                ++col;
+            }
+        }
+        fatal("sexpr parse error at line %zu, column %zu: %s", line, col,
               msg.c_str());
     }
 
-    void
-    advance()
+    static bool
+    isSpace(char c)
     {
-        if (src_[pos_] == '\n') {
-            ++line_;
-            col_ = 1;
-        } else {
-            ++col_;
-        }
-        ++pos_;
+        return std::isspace(static_cast<unsigned char>(c));
     }
 
     void
     skipSpace()
     {
-        while (pos_ < src_.size() &&
-               std::isspace(static_cast<unsigned char>(src_[pos_])))
-            advance();
+        while (pos_ < src_.size() && isSpace(src_[pos_]))
+            ++pos_;
     }
 
     Node
     readList()
     {
-        advance(); // consume '('
-        Node n = Node::list();
+        if (depth_ == kMaxDepth)
+            fail(format("lists nested deeper than %zu", kMaxDepth));
+        ++depth_;
+        ++pos_; // consume '('
+        // Children collect on a stack shared by every open list, so
+        // each list allocates its item vector once, at its final size.
+        const size_t mark = pending_.size();
         while (true) {
             skipSpace();
             if (pos_ >= src_.size())
                 fail("unterminated list");
             if (src_[pos_] == ')') {
-                advance();
-                return n;
+                ++pos_;
+                --depth_;
+                auto first = pending_.begin() + static_cast<long>(mark);
+                std::vector<Node> items(std::make_move_iterator(first),
+                                        std::make_move_iterator(
+                                            pending_.end()));
+                pending_.erase(first, pending_.end());
+                return Node::list(std::move(items));
             }
-            n.append(readNode());
+            Node child = readNode();
+            pending_.push_back(std::move(child));
         }
     }
 
     Node
     readString()
     {
-        advance(); // consume '"'
+        ++pos_; // consume '"'
         std::string text;
         while (true) {
-            if (pos_ >= src_.size())
+            size_t run = src_.find_first_of("\"\\", pos_);
+            if (run == std::string::npos) {
+                pos_ = src_.size();
                 fail("unterminated string");
-            char c = src_[pos_];
-            if (c == '"') {
-                advance();
-                return Node::string(text);
             }
-            if (c == '\\') {
-                advance();
-                if (pos_ >= src_.size())
-                    fail("dangling escape");
-                c = src_[pos_];
+            text.append(src_, pos_, run - pos_);
+            pos_ = run;
+            if (src_[pos_] == '"') {
+                ++pos_;
+                return Node::string(std::move(text));
             }
-            text += c;
-            advance();
+            ++pos_; // consume '\\'
+            if (pos_ >= src_.size())
+                fail("dangling escape");
+            text += src_[pos_++];
         }
     }
 
     Node
     readAtom()
     {
-        std::string text;
+        size_t start = pos_;
         while (pos_ < src_.size()) {
             char c = src_[pos_];
-            if (std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
-                c == ')' || c == '"')
+            if (isSpace(c) || c == '(' || c == ')' || c == '"')
                 break;
-            text += c;
-            advance();
+            ++pos_;
         }
-        return Node::atom(text);
+        return Node::atom(src_.substr(start, pos_ - start));
     }
 
     const std::string &src_;
     size_t pos_ = 0;
-    size_t line_ = 1;
-    size_t col_ = 1;
+    size_t depth_ = 0;
+    std::vector<Node> pending_;
 };
 
 } // namespace

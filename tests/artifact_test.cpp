@@ -308,6 +308,87 @@ TEST(Qo, FileErrorsAreStructuredAndNonFatal)
     EXPECT_NE(err.find("version mismatch"), std::string::npos) << err;
 }
 
+/**
+ * @p compiled serialized, with the u64 that directly precedes the
+ * little-endian bytes of @p marker in the payload replaced by
+ * @p value, and the frame rebuilt around the patched payload.
+ */
+std::string
+patchedQo(const core::CompileResult &compiled, const std::string &marker,
+          uint64_t value)
+{
+    std::string bytes = serializeQo(compiled);
+    auto payload = unframe(bytes, bytes.substr(0, 4).c_str());
+    EXPECT_TRUE(payload);
+    std::string body(*payload);
+    size_t at = body.find(marker);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_GE(at, 8u);
+    Writer w;
+    w.u64(value);
+    body.replace(at - 8, 8, w.buffer());
+    return frame(bytes.substr(0, 4).c_str(), body);
+}
+
+std::string
+u32Bytes(std::initializer_list<uint32_t> values)
+{
+    Writer w;
+    for (uint32_t v : values)
+        w.u32(v);
+    return w.buffer();
+}
+
+// A chain length of 2^62 wraps "len * 4" to zero; the loader must
+// reject it instead of reserving 2^62 entries.
+TEST(Qo, HugeChainLengthIsMalformedNotAnAllocation)
+{
+    auto compiled = compileMult(false);
+    embed::Embedding emb;
+    emb.chains = {{0x51a7c4a1u, 0x51a7c4a2u, 0x51a7c4a3u}};
+    compiled.embedding = emb;
+    std::string marker = u32Bytes({0x51a7c4a1u, 0x51a7c4a2u, 0x51a7c4a3u});
+    for (uint64_t len : {uint64_t{1} << 62, (uint64_t{1} << 62) + 1,
+                         ~uint64_t{0}}) {
+        std::string err;
+        EXPECT_FALSE(deserializeQo(patchedQo(compiled, marker, len), &err))
+            << len;
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+    }
+}
+
+// Same for a DIMACS clause's literal count.
+TEST(Qo, HugeClauseLengthIsMalformedNotAnAllocation)
+{
+    auto compiled = compileMult(false);
+    dimacs::DecodeInfo decode;
+    dimacs::Clause cl;
+    cl.lits = {0x3e1f00a1, 0x3e1f00a2, 0x3e1f00a3};
+    decode.clauses.push_back(cl);
+    compiled.dimacs_decode = decode;
+    std::string marker = u32Bytes({0x3e1f00a1u, 0x3e1f00a2u, 0x3e1f00a3u});
+    for (uint64_t nlits : {uint64_t{1} << 62, (uint64_t{1} << 62) + 1,
+                           ~uint64_t{0}}) {
+        std::string err;
+        EXPECT_FALSE(
+            deserializeQo(patchedQo(compiled, marker, nlits), &err))
+            << nlits;
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+    }
+}
+
+// EDIF stored in a .qo is parsed on load; nesting deep enough to
+// overflow the parser's stack must fail the load, not crash it.
+TEST(Qo, DeeplyNestedEdifFailsTheLoad)
+{
+    auto compiled = compileMult(false);
+    compiled.edif_text = std::string(1000000, '(');
+    std::string err;
+    EXPECT_FALSE(deserializeQo(serializeQo(compiled), &err));
+    EXPECT_NE(err.find("EDIF"), std::string::npos) << err;
+    EXPECT_NE(err.find("nested"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------- cache
 
 TEST(Cache, DefaultDirHonorsEnvOverride)

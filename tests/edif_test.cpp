@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <functional>
 #include <set>
+#include <sstream>
 
+#include "qac/artifact/qo.h"
+#include "qac/core/compiler.h"
 #include "qac/edif/reader.h"
 #include "qac/edif/writer.h"
 #include "qac/netlist/opt.h"
@@ -238,6 +242,204 @@ TEST(EdifRoundTrip, SequentialNetlistWithDffs)
     sim.eval();
     sim.step();
     EXPECT_EQ(sim.output("q"), 1u); // the 1 arrives after two stages
+}
+
+// ------------------------------------------------- seed-pinned goldens
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << path;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** One row of tests/golden/compile_stats.txt. */
+struct Golden
+{
+    std::string program, source, top;
+    size_t unroll_steps = 0;
+    std::string qo_digest;
+    core::CompileResult::Stats stats;
+};
+
+const std::string kGoldenDir = std::string(QAC_SOURCE_DIR) + "/tests/golden";
+
+std::vector<Golden>
+goldens()
+{
+    std::vector<Golden> out;
+    std::istringstream rows(readFile(kGoldenDir + "/compile_stats.txt"));
+    std::string line;
+    while (std::getline(rows, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream row(line);
+        Golden g;
+        auto &s = g.stats;
+        row >> g.program >> g.source >> g.top >> g.unroll_steps >>
+            g.qo_digest >> s.edif_lines >> s.qmasm_lines >>
+            s.stdcell_lines >> s.gates >> s.logical_vars;
+        EXPECT_TRUE(row) << line;
+        out.push_back(g);
+    }
+    EXPECT_EQ(out.size(), 6u);
+    return out;
+}
+
+core::CompileResult
+compileGolden(const Golden &g)
+{
+    core::CompileOptions co;
+    co.verilogOpts().top = g.top;
+    co.verilogOpts().unroll_steps = g.unroll_steps;
+    co.cache.enabled = false;
+    return core::compile(readFile(std::string(QAC_SOURCE_DIR) + "/" +
+                                  g.source),
+                         co);
+}
+
+/** The text sexpr::Node's pretty printer gives for @p edif's tree. */
+std::string
+reprinted(const std::string &edif)
+{
+    return sexpr::parse(edif).toString(/*pretty=*/true) + "\n";
+}
+
+// EDIF bytes, .qo digests and CompileStats recorded from the compiler
+// as it was before compile stopped re-reading its EDIF (the golden
+// files), for the paper's example programs.
+TEST(EdifGolden, CompileMatchesRecordedBytesAndStats)
+{
+    for (const Golden &g : goldens()) {
+        SCOPED_TRACE(g.program);
+        core::CompileResult res = compileGolden(g);
+        EXPECT_EQ(res.edif_text,
+                  readFile(kGoldenDir + "/" + g.program + ".edif"));
+        EXPECT_EQ(artifact::qoDigestHex(artifact::serializeQo(res)),
+                  g.qo_digest);
+        EXPECT_EQ(res.stats.edif_lines, g.stats.edif_lines);
+        EXPECT_EQ(res.stats.qmasm_lines, g.stats.qmasm_lines);
+        EXPECT_EQ(res.stats.stdcell_lines, g.stats.stdcell_lines);
+        EXPECT_EQ(res.stats.gates, g.stats.gates);
+        EXPECT_EQ(res.stats.logical_vars, g.stats.logical_vars);
+    }
+}
+
+// compile() feeds edif2qmasm the netlist its EDIF denotes without
+// parsing the text; the .qo loader re-reads the text.  Both must agree.
+TEST(EdifDenoted, CompiledNetlistIsWhatItsEdifDenotes)
+{
+    for (const Golden &g : goldens()) {
+        SCOPED_TRACE(g.program);
+        core::CompileResult res = compileGolden(g);
+        Netlist back = readEdif(res.edif_text);
+        EXPECT_TRUE(res.netlist == back);
+        EXPECT_EQ(res.netlist.numNets(), back.numNets());
+        EXPECT_EQ(res.netlist.gates(), back.gates());
+        EXPECT_EQ(res.netlist.ports(), back.ports());
+        EXPECT_EQ(reprinted(res.edif_text), res.edif_text);
+    }
+}
+
+/** denotedNetlist(nl) against the text round trip, plus layout. */
+void
+expectDenotes(const Netlist &nl)
+{
+    std::string text = writeEdif(nl);
+    EXPECT_EQ(reprinted(text), text);
+    Netlist denoted = denotedNetlist(nl);
+    Netlist back = readEdif(text);
+    EXPECT_TRUE(denoted == back);
+    EXPECT_EQ(denoted.name(), back.name());
+    ASSERT_EQ(denoted.numNets(), back.numNets());
+    for (netlist::NetId n = 0; n < denoted.numNets(); ++n)
+        EXPECT_EQ(denoted.netName(n), back.netName(n)) << n;
+    EXPECT_EQ(denoted.gates(), back.gates());
+    EXPECT_EQ(denoted.ports(), back.ports());
+}
+
+TEST(EdifDenoted, NamesThatNeedRenamingAndMerging)
+{
+    Netlist nl;
+    nl.setName("top \"quoted\" \\ name");
+    netlist::NetId x = nl.addPort("x", PortDir::Input, 1).bits[0];
+    netlist::NetId y = nl.addPort("y", PortDir::Input, 1).bits[0];
+    netlist::NetId w = nl.newNet("w");
+    nl.addGate(cells::GateType::AND, {x, y}, w);
+    netlist::NetId z = nl.addPort("z", PortDir::Output, 1).bits[0];
+    nl.addGate(cells::GateType::NOT, {w}, z);
+    // Two input nets under one name become one net on reading, and a
+    // net named like a constant net is still an ordinary net.
+    nl.setNetName(x, "dup");
+    nl.setNetName(y, "dup");
+    nl.setNetName(w, "$const0");
+    expectDenotes(nl);
+    EXPECT_EQ(denotedNetlist(nl).gates()[0].inputs[0],
+              denotedNetlist(nl).gates()[0].inputs[1]);
+}
+
+TEST(EdifDenoted, PortBitsWhoseIdentifiersCollide)
+{
+    Netlist nl;
+    auto a = nl.addPort("a", PortDir::Input, 2).bits;
+    netlist::NetId a0 = nl.addPort("a_0_", PortDir::Input, 1).bits[0];
+    auto y = nl.addPort("y", PortDir::Output, 2).bits;
+    nl.addGate(cells::GateType::XOR, {a[0], a0}, y[0]);
+    nl.addGate(cells::GateType::OR, {a[1], a0}, y[1]);
+    expectDenotes(nl);
+}
+
+TEST(EdifDenoted, ConstantsDanglingNetsAndAnEmptyDesign)
+{
+    Netlist nl;
+    nl.setName("consts");
+    netlist::NetId a = nl.addPort("a", PortDir::Input, 1).bits[0];
+    nl.addPort("unused", PortDir::Input, 3);
+    netlist::NetId t = nl.newNet("t");
+    nl.addGate(cells::GateType::AND, {a, netlist::kConst1}, t);
+    nl.addPortOver("y", PortDir::Output, {t, netlist::kConst0, a});
+    nl.addPortOver("tied", PortDir::Input, {netlist::kConst1});
+    expectDenotes(nl);
+
+    Netlist empty;
+    empty.addPort("in", PortDir::Input, 2);
+    expectDenotes(empty);
+    EXPECT_NE(writeEdif(empty).find("(library DEVICE (edifLevel 0)"),
+              std::string::npos);
+}
+
+TEST(EdifDenoted, GateOnADanglingNetFailsLikeTheReader)
+{
+    Netlist nl;
+    netlist::NetId a = nl.addPort("a", PortDir::Input, 1).bits[0];
+    nl.addGate(cells::GateType::NOT, {a}, nl.newNet("nowhere"));
+    std::string text = writeEdif(nl);
+    EXPECT_THROW(readEdif(text), FatalError);
+    EXPECT_THROW(denotedNetlist(nl), FatalError);
+}
+
+// Instance names are zero-padded to five digits, so from gate 100000
+// on, instance-name order (the order the reader adds gates in) is no
+// longer gate order.
+TEST(EdifDenoted, SixDigitInstanceNamesReorderGates)
+{
+    Netlist nl;
+    netlist::NetId net = nl.addPort("a", PortDir::Input, 1).bits[0];
+    for (size_t i = 0; i < 100002; ++i) {
+        netlist::NetId next = nl.newNet();
+        nl.addGate(i % 2 ? cells::GateType::NOT : cells::GateType::BUF,
+                   {net}, next);
+        net = next;
+    }
+    nl.addPortOver("y", PortDir::Output, {net});
+    Netlist denoted = denotedNetlist(nl);
+    EXPECT_TRUE(denoted == readEdif(writeEdif(nl)));
+    // "id100000" sorts between "id10000" and "id10001".
+    EXPECT_EQ(denoted.gates()[10001].type, cells::GateType::BUF);
+    EXPECT_EQ(denoted.gates()[10003].type, cells::GateType::NOT);
 }
 
 } // namespace

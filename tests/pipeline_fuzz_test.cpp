@@ -2,7 +2,7 @@
  * @file
  * Whole-pipeline property fuzzing: randomly generated Verilog programs
  * are pushed through synthesis, optimization, tech mapping, EDIF
- * round-trip, QMASM translation, and assembly, then their compiled
+ * emission, QMASM translation, and assembly, then their compiled
  * Hamiltonians are checked against classical simulation —
  * forward-run equivalence for every module, and exact ground-state /
  * relation equality where enumeration is feasible.
@@ -18,9 +18,11 @@
 #include "qac/core/compiler.h"
 #include "qac/core/program.h"
 #include "qac/dimacs/dimacs.h"
+#include "qac/edif/reader.h"
 #include "qac/netlist/simulate.h"
 #include "qac/qmasm/assemble.h"
 #include "qac/qmasm/edif2qmasm.h"
+#include "qac/sexpr/sexpr.h"
 #include "qac/sim/diff_check.h"
 #include "qac/util/logging.h"
 #include "qac/verilog/synth.h"
@@ -217,6 +219,26 @@ TEST_P(FuzzSeed, QoRoundTripIsCanonicalAndRunsIdentically)
                 << src;
         }
     }
+}
+
+// compile() hands edif2qmasm the netlist its EDIF text denotes without
+// parsing the text back; the .qo loader does parse it.  Both must give
+// the same netlist, and the streamed text must be laid out exactly as
+// the s-expression printer lays out its tree.
+TEST_P(FuzzSeed, CompiledNetlistIsWhatItsEdifDenotes)
+{
+    Rng rng(GetParam());
+    std::string src = randomCombinationalModule(rng);
+    CompileOptions co;
+    co.verilogOpts().top = "fuzz";
+    CompileResult compiled = compile(src, co);
+    netlist::Netlist back = edif::readEdif(compiled.edif_text);
+    EXPECT_TRUE(compiled.netlist == back) << src;
+    EXPECT_EQ(compiled.netlist.gates(), back.gates()) << src;
+    EXPECT_EQ(compiled.netlist.ports(), back.ports()) << src;
+    EXPECT_EQ(sexpr::parse(compiled.edif_text).toString(true) + "\n",
+              compiled.edif_text)
+        << src;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FuzzSeed,

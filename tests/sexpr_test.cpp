@@ -100,6 +100,45 @@ TEST(SExpr, UnterminatedStringFails)
     EXPECT_THROW(parse("(\"abc)"), FatalError);
 }
 
+TEST(SExpr, ErrorsReportLineAndColumn)
+{
+    try {
+        parseAll("(a\n  b))");
+        FAIL() << "expected a parse error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 2, column 5"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SExpr, NestingWithinTheLimitParses)
+{
+    const size_t depth = 500;
+    Node n = parse(std::string(depth, '(') + "x" + std::string(depth, ')'));
+    for (size_t i = 1; i < depth; ++i)
+        n = Node(n[0]);
+    EXPECT_EQ(n[0].text(), "x");
+}
+
+// Hostile input: one million open parens would overflow the stack of a
+// recursive-descent reader with no depth bound.
+TEST(SExpr, DeepNestingFailsInsteadOfOverflowingTheStack)
+{
+    for (const std::string &src :
+         {std::string(1000000, '('),
+          std::string(1000000, '(') + std::string(1000000, ')')}) {
+        try {
+            parse(src);
+            FAIL() << "expected a parse error";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("nested deeper"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SExpr, BuilderApi)
 {
     Node n = Node::list({Node::atom("cell"), Node::atom("AND")});
