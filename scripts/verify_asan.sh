@@ -11,7 +11,9 @@
 # simulator's fanout/pending index arrays and the VCD writer are more
 # of the same (DESIGN.md §15).  The edif-labelled suites cover the
 # s-expression reader and the streaming EDIF writer: string-buffer
-# code fed hostile input (EDIF stored in a .qo is parsed on load).
+# code fed hostile input (EDIF stored in a .qo is parsed on load).  The
+# embed-labelled suite covers the embedder's flat-array shortest-path
+# search (CSR adjacency, per-usage label FIFOs; DESIGN.md §3).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,8 +21,8 @@ BUILD=build-asan
 
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
 cmake --build "$BUILD" -j --target stats_test cli_test packed_test \
-    dimacs_test sim_test edif_test sexpr_test qacc qma qsat
+    dimacs_test sim_test edif_test sexpr_test embed_test qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|sat|sim|edif' --output-on-failure
+ctest -L 'stats|packed|sat|sim|edif|embed' --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

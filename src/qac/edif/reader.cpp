@@ -256,7 +256,10 @@ lowerTop(netlist::Netlist nl, std::vector<Instance> &insts,
                 net = to;
     };
 
-    // Materialize constants, then gates.
+    // Materialize constants, then gates.  A file can break what
+    // Netlist::check() asserts of the netlists the compiler builds, so
+    // the driver rules are checked here as input errors.
+    std::vector<const Instance *> driver(nl.numNets(), nullptr);
     for (const auto &inst : insts) {
         if (inst.kind != Instance::Kind::Gate) {
             if (inst.pins[0] != kNoNet)
@@ -270,9 +273,18 @@ lowerTop(netlist::Netlist nl, std::vector<Instance> &insts,
             if (inst.pins[k] == kNoNet)
                 fatal("edif: instance %s input %s unconnected",
                       inst.name.c_str(), info.inputs[k].c_str());
-        if (inst.pins.back() == kNoNet)
+        const NetId out = inst.pins.back();
+        if (out == kNoNet)
             fatal("edif: instance %s output unconnected",
                   inst.name.c_str());
+        if (out == netlist::kConst0 || out == netlist::kConst1)
+            fatal("edif: instance %s drives a GND/VCC net",
+                  inst.name.c_str());
+        if (driver[out])
+            fatal("edif: net %s driven by instances %s and %s",
+                  nl.netName(out).c_str(), driver[out]->name.c_str(),
+                  inst.name.c_str());
+        driver[out] = &inst;
         nl.addGate(inst.type,
                    std::vector<NetId>(inst.pins.begin(),
                                       inst.pins.end() - 1),
@@ -299,6 +311,9 @@ lowerTop(netlist::Netlist nl, std::vector<Instance> &insts,
             idx = static_cast<size_t>(std::stoul(
                 p.display.substr(lb + 1, p.display.size() - lb - 2)));
         }
+        if (p.is_input && net < driver.size() && driver[net])
+            fatal("edif: instance %s drives input port %s",
+                  driver[net]->name.c_str(), p.display.c_str());
         if (!buses.count(base))
             scalar_order.emplace_back(base, p.is_input);
         buses[base].push_back({idx, net});

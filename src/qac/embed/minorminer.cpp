@@ -15,6 +15,7 @@ namespace qac::embed {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr uint32_t kNone = UINT32_MAX;
 
 class Embedder
 {
@@ -22,8 +23,10 @@ class Embedder
     Embedder(const std::vector<std::pair<uint32_t, uint32_t>> &edges,
              size_t num_logical, const chimera::HardwareGraph &hw,
              const EmbedParams &params)
-        : hw_(hw), params_(params), nbrs_(num_logical),
-          chains_(num_logical), usage_(hw.numNodes(), 0)
+        : params_(params), n_(static_cast<uint32_t>(hw.numNodes())),
+          nbrs_(num_logical),
+          chains_(num_logical), usage_(n_, 0), active_(n_, 0),
+          adj_start_(n_ + 1, 0), weight_(n_, kInf)
     {
         for (const auto &[a, b] : edges) {
             if (a >= num_logical || b >= num_logical)
@@ -36,6 +39,17 @@ class Embedder
         for (auto &nb : nbrs_) {
             std::sort(nb.begin(), nb.end());
             nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
+        }
+        // Active-to-active couplers only, in the graph's neighbour
+        // order: the shortest-path search never looks at a dead qubit.
+        for (uint32_t q = 0; q < n_; ++q)
+            active_[q] = hw.isActive(q) ? 1 : 0;
+        for (uint32_t q = 0; q < n_; ++q) {
+            if (active_[q])
+                for (uint32_t v : hw.neighbors(q))
+                    if (active_[v])
+                        adj_.push_back(v);
+            adj_start_[q + 1] = static_cast<uint32_t>(adj_.size());
         }
     }
 
@@ -51,8 +65,23 @@ class Embedder
     }
 
   private:
-    const chimera::HardwareGraph &hw_;
+    /** A queued shortest-path label: qubit @c node reached at @c dist. */
+    struct Label
+    {
+        double dist;
+        uint32_t node;
+    };
+
+    /** Labels in nondecreasing distance; those before @c head are
+     *  consumed. */
+    struct Fifo
+    {
+        std::vector<Label> labels;
+        size_t head = 0;
+    };
+
     const EmbedParams &params_;
+    const uint32_t n_; ///< hardware qubits
     std::vector<std::vector<uint32_t>> nbrs_; ///< logical adjacency
     std::vector<std::vector<uint32_t>> chains_;
     std::vector<uint32_t> usage_;
@@ -61,64 +90,166 @@ class Embedder
     const exec::CancelToken *token_ = nullptr;
     size_t index_ = 0;
 
-    double
-    weight(uint32_t q) const
+    std::vector<uint8_t> active_;
+    std::vector<uint32_t> adj_start_; ///< CSR row starts into adj_
+    std::vector<uint32_t> adj_;       ///< active neighbours of each qubit
+
+    /** weight_[q] = pow_[usage_[q]] (kInf when dead), refreshed by
+     *  refreshWeights() for each placement; pow_ holds this round's
+     *  base^k for k = 0, 1, ... . */
+    std::vector<double> weight_;
+    std::vector<double> pow_;
+    uint32_t pow_round_ = UINT32_MAX;
+
+    // Shortest-path state, one n_-sized row per embedded neighbour of
+    // the vertex being placed, reused across placements.
+    std::vector<double> dist_;
+    std::vector<uint32_t> pred_;
+    /** Labels of the distance level being settled in heap order. */
+    std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>>
+        level_;
+    /** fifo_[k]: pending labels set by a qubit of usage k. */
+    std::vector<Fifo> fifo_;
+
+    /**
+     * Weight every qubit for the placement about to run.  The penalty
+     * base must exceed any possible fresh-path cost so that one
+     * overlapped qubit is always worse than any detour through unused
+     * qubits (CMR use |V|^usage).  Escalate mildly with the round to
+     * shake persistent overlaps.  Usage only changes once the new chain
+     * is installed, so these weights hold for the whole placement.
+     * Also gives every usage value present a label FIFO.
+     */
+    void
+    refreshWeights()
     {
-        if (!hw_.isActive(q))
-            return kInf;
-        // The penalty base must exceed any possible fresh-path cost so
-        // that one overlapped qubit is always worse than any detour
-        // through unused qubits (CMR use |V|^usage).  Escalate mildly
-        // with the round to shake persistent overlaps.
+        if (pow_round_ != round_) {
+            pow_round_ = round_;
+            pow_.clear();
+        }
         double base = params_.overuse_base > 0.0
                           ? params_.overuse_base
-                          : static_cast<double>(hw_.numNodes());
+                          : static_cast<double>(n_);
         base *= static_cast<double>(1 + round_);
-        return std::pow(base, static_cast<double>(usage_[q]));
+        uint32_t max_use = 0;
+        for (uint32_t q = 0; q < n_; ++q) {
+            if (!active_[q])
+                continue;
+            const uint32_t k = usage_[q];
+            max_use = std::max(max_use, k);
+            while (pow_.size() <= k)
+                pow_.push_back(
+                    std::pow(base, static_cast<double>(pow_.size())));
+            weight_[q] = pow_[k];
+        }
+        if (fifo_.size() <= max_use)
+            fifo_.resize(max_use + 1);
     }
 
     /**
-     * Multi-source Dijkstra from every qubit of @p sources.  dist[q] is
-     * the summed weight of the *interior* qubits on the cheapest path
-     * from the source set to q — q's own weight is excluded, so the
-     * caller can charge the root qubit exactly once across neighbors.
-     * pred[q] walks back toward the source set; is_source marks the
-     * source chain.
+     * Multi-source shortest paths from every qubit of @p sources.
+     * dist[q] is the summed weight of the *interior* qubits on the
+     * cheapest path from the source set to q — q's own weight is
+     * excluded, so the caller can charge the root qubit exactly once
+     * across neighbors.  pred[q] walks back toward the source set and
+     * is kNone exactly on the source chain and on unreachable qubits.
+     *
+     * The result, pred included, is exactly that of a binary-heap
+     * Dijkstra popping (dist, qubit) pairs in lexicographic order and
+     * keeping the first predecessor to reach each qubit's final
+     * distance; see DESIGN.md §3 (src/embed) for why the buckets below
+     * reproduce it.
      */
     void
-    dijkstra(const std::vector<uint32_t> &sources,
-             std::vector<double> &dist, std::vector<uint32_t> &pred,
-             std::vector<bool> &is_source) const
+    shortestPaths(const std::vector<uint32_t> &sources, double *dist,
+                  uint32_t *pred)
     {
-        const size_t n = hw_.numNodes();
-        dist.assign(n, kInf);
-        pred.assign(n, UINT32_MAX);
-        is_source.assign(n, false);
-        using Item = std::pair<double, uint32_t>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+        std::fill(dist, dist + n_, kInf);
+        std::fill(pred, pred + n_, kNone);
+        for (Fifo &f : fifo_) {
+            f.labels.clear();
+            f.head = 0;
+        }
         for (uint32_t s : sources) {
             dist[s] = 0.0;
-            is_source[s] = true;
-            pq.emplace(0.0, s);
+            level_.push(s);
         }
-        while (!pq.empty()) {
-            auto [d, u] = pq.top();
-            pq.pop();
-            if (d > dist[u])
-                continue;
-            // Entering v costs the weight of u (the hop's interior
-            // node), except when u is a source-chain qubit.
-            double wu = is_source[u] ? 0.0 : weight(u);
-            if (wu == kInf)
-                continue;
-            for (uint32_t v : hw_.neighbors(u)) {
-                if (!hw_.isActive(v) || is_source[v])
-                    continue;
-                double nd = d + wu;
+
+        // Settle qubit u at distance d.  Entering a neighbour costs
+        // u's weight, except from a source-chain qubit (a settled qubit
+        // without a predecessor).  A label at the current distance
+        // joins the level heap; any larger one goes to the FIFO of u's
+        // usage, whose labels arrive in nondecreasing order because
+        // qubits are settled in nondecreasing distance and that FIFO's
+        // weight is constant.  A source keeps distance 0, which no
+        // label undercuts, and ties are only re-ordered above 0, so
+        // sources need no test.
+        auto settle = [&](uint32_t u, double d, bool reorder_ties) {
+            const double nd = d + (pred[u] == kNone ? 0.0 : weight_[u]);
+            if (nd == kInf)
+                return;
+            auto &fifo = fifo_[usage_[u]].labels;
+            const uint32_t *e = adj_.data() + adj_start_[u];
+            const uint32_t *end = adj_.data() + adj_start_[u + 1];
+            for (; e != end; ++e) {
+                const uint32_t v = *e;
                 if (nd < dist[v]) {
                     dist[v] = nd;
                     pred[v] = u;
-                    pq.emplace(nd, v);
+                    if (nd == d)
+                        level_.push(v);
+                    else
+                        fifo.push_back({nd, v});
+                } else if (reorder_ties && nd == dist[v] && u < pred[v] &&
+                           dist[pred[v]] == d) {
+                    // The heap would have settled u before pred[v].
+                    pred[v] = u;
+                }
+            }
+        };
+
+        double d = 0.0;
+        for (;;) {
+            // Heap order within the level: sources and any label that
+            // stays at d (zero-weight or absorbed hops) pop by qubit id
+            // as they arrive.
+            while (!level_.empty()) {
+                const uint32_t u = level_.top();
+                level_.pop();
+                settle(u, d, false);
+            }
+
+            // The next distance level: the smallest live FIFO head.
+            d = kInf;
+            for (Fifo &f : fifo_) {
+                const auto &l = f.labels;
+                while (f.head < l.size() &&
+                       l[f.head].dist > dist[l[f.head].node])
+                    ++f.head; // superseded by a shorter label
+                if (f.head < l.size())
+                    d = std::min(d, l[f.head].dist);
+            }
+            if (d == kInf)
+                break;
+
+            // Every weight is at least 1, so unless adding 1 rounds
+            // back to d no label set at this level lands on it: the
+            // level is final now, and settling it FIFO by FIFO only
+            // needs ties re-ordered.  Otherwise hand the level to the
+            // heap.
+            const bool absorbing = d + 1.0 == d;
+            for (Fifo &f : fifo_) {
+                // settle() may append to f.labels: index, don't iterate.
+                for (; f.head < f.labels.size() &&
+                       f.labels[f.head].dist == d;
+                     ++f.head) {
+                    const uint32_t u = f.labels[f.head].node;
+                    if (d > dist[u])
+                        continue;
+                    if (absorbing)
+                        level_.push(u);
+                    else
+                        settle(u, d, true);
                 }
             }
         }
@@ -166,11 +297,11 @@ class Embedder
 
         if (embedded_nbrs.empty()) {
             // Free placement: pick a random least-used active qubit.
-            uint32_t best = UINT32_MAX;
+            uint32_t best = kNone;
             uint32_t best_use = UINT32_MAX;
             uint64_t seen = 0;
-            for (uint32_t q = 0; q < hw_.numNodes(); ++q) {
-                if (!hw_.isActive(q))
+            for (uint32_t q = 0; q < n_; ++q) {
+                if (!active_[q])
                     continue;
                 if (usage_[q] < best_use) {
                     best_use = usage_[q];
@@ -183,19 +314,22 @@ class Embedder
                         best = q;
                 }
             }
-            if (best == UINT32_MAX)
+            if (best == kNone)
                 return false;
             install(v, {best});
             return true;
         }
 
-        // One Dijkstra per embedded neighbor.
-        std::vector<std::vector<double>> dist(embedded_nbrs.size());
-        std::vector<std::vector<uint32_t>> pred(embedded_nbrs.size());
-        std::vector<std::vector<bool>> is_src(embedded_nbrs.size());
-        for (size_t k = 0; k < embedded_nbrs.size(); ++k)
-            dijkstra(chains_[embedded_nbrs[k]], dist[k], pred[k],
-                     is_src[k]);
+        // One shortest-path search per embedded neighbor.
+        refreshWeights();
+        const size_t rows = embedded_nbrs.size();
+        if (dist_.size() < rows * n_) {
+            dist_.resize(rows * n_);
+            pred_.resize(rows * n_);
+        }
+        for (size_t k = 0; k < rows; ++k)
+            shortestPaths(chains_[embedded_nbrs[k]], &dist_[k * n_],
+                          &pred_[k * n_]);
 
         // Root minimizing own weight + total interior connection cost.
         // Costs carry multiplicative noise: the hardware graph is
@@ -204,17 +338,18 @@ class Embedder
         // minima (e.g. a walled-in singleton chain whose only overlap
         // spot never moves), while noisy selection lets the overlap
         // wander until a re-placement cascade resolves it.
-        uint32_t root = UINT32_MAX;
+        uint32_t root = kNone;
         double best_cost = kInf;
-        for (uint32_t q = 0; q < hw_.numNodes(); ++q) {
-            double w = weight(q);
+        for (uint32_t q = 0; q < n_; ++q) {
+            const double w = weight_[q];
             if (w == kInf)
                 continue;
             double c = w;
             bool feasible = true;
-            for (size_t k = 0; k < embedded_nbrs.size(); ++k) {
-                // A root inside the neighbor's chain connects for free.
-                double d = is_src[k][q] ? 0.0 : dist[k][q];
+            for (size_t k = 0; k < rows; ++k) {
+                // A root inside the neighbor's chain connects for free
+                // (its distance is 0).
+                const double d = dist_[k * n_ + q];
                 if (d == kInf) {
                     feasible = false;
                     break;
@@ -231,7 +366,7 @@ class Embedder
                 root = q;
             }
         }
-        if (root == UINT32_MAX)
+        if (root == kNone)
             return false;
 
         // Chain = root plus the root-side half of each connection path;
@@ -240,18 +375,14 @@ class Embedder
         // vertices absorb entire paths and balloon while their
         // neighbors stay as walled-in singletons.
         std::vector<uint32_t> chain{root};
-        for (size_t k = 0; k < embedded_nbrs.size(); ++k) {
-            if (is_src[k][root])
+        for (size_t k = 0; k < rows; ++k) {
+            // The root is reachable, so kNone marks the neighbor's chain.
+            const uint32_t *pred = &pred_[k * n_];
+            if (pred[root] == kNone)
                 continue;
             std::vector<uint32_t> path; // root side first
-            uint32_t cur = root;
-            while (pred[k][cur] != UINT32_MAX) {
-                uint32_t nxt = pred[k][cur];
-                if (is_src[k][nxt])
-                    break; // reached the neighbor's chain
-                path.push_back(nxt);
-                cur = nxt;
-            }
+            for (uint32_t q = pred[root]; pred[q] != kNone; q = pred[q])
+                path.push_back(q);
             size_t keep = (path.size() + 1) / 2;
             for (size_t i = 0; i < keep; ++i)
                 chain.push_back(path[i]);
@@ -376,6 +507,12 @@ findEmbedding(const std::vector<std::pair<uint32_t, uint32_t>>
               size_t num_logical, const chimera::HardwareGraph &hw,
               const EmbedParams &params)
 {
+    // Weights must stay >= 1 (see refreshWeights and shortestPaths).
+    const double base = params.overuse_base;
+    if (base != 0.0 && !(std::isfinite(base) && base >= 1.0))
+        fatal("findEmbedding: overuse_base must be 0 (auto) or a finite "
+              "value >= 1, got %g",
+              base);
     if (num_logical == 0)
         return Embedding{};
     stats::ScopedTimer timer("embed.minorminer.time");

@@ -29,7 +29,9 @@ struct EmbedParams
     uint32_t tries = 8;       ///< independent restarts
     uint32_t rounds = 48;     ///< improvement rounds per try
     /** Qubit weight = base^overuse; 0 = auto (|V|, so one overlap
-     *  always outweighs any overlap-free detour). */
+     *  always outweighs any overlap-free detour).  Otherwise it must be
+     *  finite and >= 1: findEmbedding throws FatalError on anything
+     *  else. */
     double overuse_base = 0.0;
     /** Keep improving chain sizes after the first feasible round. */
     bool minimize_qubits = true;

@@ -22,6 +22,7 @@
 #include "qac/chimera/chimera.h"
 #include "qac/core/compiler.h"
 #include "qac/core/program.h"
+#include "qac/edif/writer.h"
 #include "qac/stats/registry.h"
 #include "qac/util/hash.h"
 
@@ -387,6 +388,43 @@ TEST(Qo, DeeplyNestedEdifFailsTheLoad)
     EXPECT_FALSE(deserializeQo(serializeQo(compiled), &err));
     EXPECT_NE(err.find("EDIF"), std::string::npos) << err;
     EXPECT_NE(err.find("nested"), std::string::npos) << err;
+}
+
+// EDIF whose instances break a driver rule (two drivers on one net, a
+// driven GND/VCC net, a driven input port) must fail the load with an
+// error, not abort in Netlist::check().
+TEST(Qo, EdifBreakingDriverRulesFailsTheLoad)
+{
+    using netlist::Netlist;
+    using netlist::PortDir;
+    auto badNetlists = [] {
+        std::vector<std::pair<Netlist, std::string>> out;
+        Netlist two;
+        netlist::NetId a = two.addPort("a", PortDir::Input, 1).bits[0];
+        netlist::NetId y = two.addPort("y", PortDir::Output, 1).bits[0];
+        two.addGate(cells::GateType::NOT, {a}, y);
+        two.addGate(cells::GateType::BUF, {a}, y);
+        out.emplace_back(two, "driven by instances");
+        Netlist gnd;
+        a = gnd.addPort("a", PortDir::Input, 1).bits[0];
+        gnd.addPortOver("y", PortDir::Output, {netlist::kConst0});
+        gnd.addGate(cells::GateType::NOT, {a}, netlist::kConst0);
+        out.emplace_back(gnd, "GND/VCC");
+        Netlist in;
+        a = in.addPort("a", PortDir::Input, 1).bits[0];
+        netlist::NetId b = in.addPort("b", PortDir::Input, 1).bits[0];
+        in.addGate(cells::GateType::NOT, {a}, b);
+        out.emplace_back(in, "drives input port");
+        return out;
+    };
+    auto compiled = compileMult(false);
+    for (const auto &[nl, what] : badNetlists()) {
+        compiled.edif_text = edif::writeEdif(nl);
+        std::string err;
+        EXPECT_FALSE(deserializeQo(serializeQo(compiled), &err)) << what;
+        EXPECT_NE(err.find("EDIF"), std::string::npos) << err;
+        EXPECT_NE(err.find(what), std::string::npos) << err;
+    }
 }
 
 // ---------------------------------------------------------------- cache

@@ -421,6 +421,50 @@ TEST(EdifDenoted, GateOnADanglingNetFailsLikeTheReader)
     EXPECT_THROW(denotedNetlist(nl), FatalError);
 }
 
+/** EDIF for a netlist that breaks a driver rule: a typed error, not
+ *  the abort Netlist::check() gives the compiler's own netlists. */
+void
+expectDriverRuleRejected(const Netlist &nl, const std::string &what)
+{
+    try {
+        readEdif(writeEdif(nl));
+        ADD_FAILURE() << "accepted: " << what;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(EdifReader, TwoInstancesDrivingOneNetRejected)
+{
+    Netlist nl;
+    netlist::NetId a = nl.addPort("a", PortDir::Input, 1).bits[0];
+    netlist::NetId y = nl.addPort("y", PortDir::Output, 1).bits[0];
+    nl.addGate(cells::GateType::NOT, {a}, y);
+    nl.addGate(cells::GateType::BUF, {a}, y);
+    expectDriverRuleRejected(nl, "driven by instances");
+}
+
+TEST(EdifReader, InstanceDrivingGndOrVccRejected)
+{
+    for (netlist::NetId c : {netlist::kConst0, netlist::kConst1}) {
+        Netlist nl;
+        netlist::NetId a = nl.addPort("a", PortDir::Input, 1).bits[0];
+        nl.addPortOver("y", PortDir::Output, {c});
+        nl.addGate(cells::GateType::NOT, {a}, c);
+        expectDriverRuleRejected(nl, "drives a GND/VCC net");
+    }
+}
+
+TEST(EdifReader, InstanceDrivingInputPortRejected)
+{
+    Netlist nl;
+    netlist::NetId a = nl.addPort("a", PortDir::Input, 1).bits[0];
+    netlist::NetId b = nl.addPort("b", PortDir::Input, 1).bits[0];
+    nl.addGate(cells::GateType::NOT, {a}, b);
+    expectDriverRuleRejected(nl, "drives input port b");
+}
+
 // Instance names are zero-padded to five digits, so from gate 100000
 // on, instance-name order (the order the reader adds gates in) is no
 // longer gate order.

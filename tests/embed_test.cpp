@@ -7,11 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+#include <limits>
+#include <map>
+#include <sstream>
+
 #include "qac/anneal/exact.h"
+#include "qac/artifact/qo.h"
 #include "qac/chimera/chimera.h"
+#include "qac/core/compiler.h"
 #include "qac/embed/embed_model.h"
 #include "qac/embed/minorminer.h"
 #include "qac/embed/roof_duality.h"
+#include "qac/util/hash.h"
 #include "qac/util/logging.h"
 #include "qac/util/rng.h"
 
@@ -160,6 +169,161 @@ TEST(FindEmbedding, RespectsDropout)
         for (uint32_t q : chain)
             EXPECT_TRUE(hw.isActive(q));
 }
+
+// Weights are base^usage; below 1 (or non-finite) an overlap no longer
+// outweighs a detour, so only 0 (auto) and finite bases >= 1 embed.
+TEST(FindEmbedding, RejectsOveruseBaseBelowOneOrNonFinite)
+{
+    HardwareGraph hw = chimera::chimeraGraph(2);
+    for (double base : {0.5, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+        EmbedParams p;
+        p.overuse_base = base;
+        EXPECT_THROW(findEmbedding(cliqueEdges(3), 3, hw, p), FatalError)
+            << base;
+    }
+    for (double base : {0.0, 1.0, 3.0}) {
+        EmbedParams p;
+        p.overuse_base = base;
+        EXPECT_TRUE(findEmbedding(cliqueEdges(3), 3, hw, p)) << base;
+    }
+}
+
+// ------------------------------------------------------ recorded chains
+
+const std::string kGoldenDir = std::string(QAC_SOURCE_DIR) + "/tests/golden";
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << path;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Compile options for @p program as tests/golden/compile_stats.txt
+ *  lists it. */
+core::CompileOptions
+goldenOptions(const std::string &program)
+{
+    core::CompileOptions co;
+    co.verilogOpts().top = program;
+    co.cache.enabled = false;
+    return co;
+}
+
+std::string
+goldenSource(const std::string &program)
+{
+    const std::string path = program == "mux_add_sub"
+                                 ? "examples/mux_add_sub.v"
+                                 : "tests/golden/" + program + ".v";
+    return readFile(std::string(QAC_SOURCE_DIR) + "/" + path);
+}
+
+std::string
+chainDigest(const std::optional<Embedding> &emb)
+{
+    if (!emb)
+        return "none";
+    util::Hasher h;
+    h.u64(emb->chains.size());
+    for (const auto &chain : emb->chains) {
+        h.u64(chain.size());
+        for (uint32_t q : chain)
+            h.u32(q);
+    }
+    return util::hexDigest(h.digest());
+}
+
+struct GoldenRow
+{
+    std::string program, variant;
+    uint64_t seed = 0;
+    std::string digest;
+};
+
+std::vector<GoldenRow>
+goldenRows()
+{
+    std::vector<GoldenRow> out;
+    std::istringstream rows(readFile(kGoldenDir + "/embeddings.txt"));
+    std::string line;
+    while (std::getline(rows, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream row(line);
+        GoldenRow g;
+        row >> g.program >> g.variant >> g.seed >> g.digest;
+        EXPECT_TRUE(row) << line;
+        out.push_back(g);
+    }
+    return out;
+}
+
+class EmbedGolden : public ::testing::TestWithParam<uint32_t>
+{};
+
+// The chains findEmbedding returned, seed for seed, before its
+// shortest-path search was rewritten (tests/golden/embeddings.txt),
+// at one thread and at eight.
+TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
+{
+    const uint32_t threads = GetParam();
+    struct Logical
+    {
+        std::vector<std::pair<uint32_t, uint32_t>> edges;
+        size_t num_vars = 0;
+    };
+    std::map<std::string, Logical> logical;
+    size_t checked = 0;
+    for (const GoldenRow &g : goldenRows()) {
+        SCOPED_TRACE(g.program + " " + g.variant + " seed " +
+                     std::to_string(g.seed));
+        if (g.variant == "qo") {
+            core::CompileOptions co = goldenOptions(g.program);
+            co.target = core::Target::Chimera;
+            co.chimera_size = 16;
+            co.embed.seed = g.seed;
+            co.threads = threads;
+            core::CompileResult res =
+                core::compile(goldenSource(g.program), co);
+            EXPECT_EQ(artifact::qoDigestHex(artifact::serializeQo(res)),
+                      g.digest);
+            ++checked;
+            continue;
+        }
+        auto it = logical.find(g.program);
+        if (it == logical.end()) {
+            core::CompileResult res = core::compile(
+                goldenSource(g.program), goldenOptions(g.program));
+            Logical l;
+            for (const auto &t : res.assembled.model.quadraticTerms())
+                l.edges.emplace_back(t.i, t.j);
+            l.num_vars = res.assembled.model.numVars();
+            it = logical.emplace(g.program, std::move(l)).first;
+        }
+        HardwareGraph hw = chimera::chimeraGraph(16);
+        EmbedParams p;
+        p.seed = g.seed;
+        p.threads = threads;
+        if (g.variant == "dropout")
+            chimera::applyDropout(hw, 0.08, 7);
+        else if (g.variant == "base3")
+            p.overuse_base = 3.0;
+        else
+            ASSERT_EQ(g.variant, "c16");
+        EXPECT_EQ(chainDigest(findEmbedding(it->second.edges,
+                                            it->second.num_vars, hw, p)),
+                  g.digest);
+        ++checked;
+    }
+    EXPECT_EQ(checked, 137u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, EmbedGolden, ::testing::Values(1u, 8u));
 
 // ------------------------------------------------------------ embedModel
 
