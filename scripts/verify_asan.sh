@@ -12,8 +12,10 @@
 # of the same (DESIGN.md §15).  The edif-labelled suites cover the
 # s-expression reader and the streaming EDIF writer: string-buffer
 # code fed hostile input (EDIF stored in a .qo is parsed on load).  The
-# embed-labelled suite covers the embedder's flat-array shortest-path
-# search (CSR adjacency, per-usage label FIFOs; DESIGN.md §3).
+# embed-labelled suite covers the embedder's bounded shortest-path
+# searches: flat dist/pred rows, CSR adjacency, per-usage label FIFOs
+# kept across a limit raise, and the root scan's open-candidate list
+# (DESIGN.md §3).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "qac/artifact/serial.h"
@@ -20,20 +21,6 @@ namespace qac::artifact {
 namespace {
 
 constexpr char kEntryMagic[4] = {'Q', 'A', 'C', 'E'};
-
-/** Total size of regular files under @p dir (0 on any error). */
-uint64_t
-dirBytes(const std::string &dir)
-{
-    uint64_t total = 0;
-    std::error_code ec;
-    for (const auto &e : fs::directory_iterator(dir, ec)) {
-        std::error_code fec;
-        if (e.is_regular_file(fec))
-            total += e.file_size(fec);
-    }
-    return total;
-}
 
 void
 hashModel(util::Hasher &h, const ising::IsingModel &m)
@@ -148,12 +135,11 @@ Cache::store(const std::string &name, std::string_view bytes)
         fs::remove(tmp, ec);
         return false;
     }
-    evict();
-    stats::gauge("qac.cache.bytes", dirBytes(dir_));
+    stats::gauge("qac.cache.bytes", evict());
     return true;
 }
 
-void
+uint64_t
 Cache::evict()
 {
     std::error_code ec;
@@ -161,20 +147,22 @@ Cache::evict()
     {
         fs::path path;
         uint64_t size;
-        fs::file_time_type mtime;
+        std::pair<int64_t, int64_t> mtime; ///< seconds, nanoseconds
     };
     std::vector<File> files;
     uint64_t total = 0;
     for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        std::error_code fec;
-        if (!e.is_regular_file(fec))
+        // One stat per entry: type, size and mtime together.
+        struct stat st;
+        if (::stat(e.path().c_str(), &st) != 0 || !S_ISREG(st.st_mode))
             continue;
-        File f{e.path(), e.file_size(fec), e.last_write_time(fec)};
+        File f{e.path(), static_cast<uint64_t>(st.st_size),
+               {st.st_mtim.tv_sec, st.st_mtim.tv_nsec}};
         total += f.size;
         files.push_back(std::move(f));
     }
     if (total <= max_bytes_)
-        return;
+        return total;
     std::sort(files.begin(), files.end(),
               [](const File &a, const File &b) {
                   return a.mtime < b.mtime;
@@ -188,6 +176,7 @@ Cache::evict()
             stats::count("qac.cache.evict");
         }
     }
+    return total;
 }
 
 uint64_t

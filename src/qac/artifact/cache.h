@@ -76,7 +76,9 @@ class Cache
     bool store(const std::string &name, std::string_view bytes);
 
   private:
-    void evict();
+    /** Evict least-recently-used entries down to max_bytes; returns
+     *  the bytes left in the directory. */
+    uint64_t evict();
 
     bool enabled_ = false;
     std::string dir_;

@@ -1,5 +1,7 @@
 #include "qac/chimera/hardware_graph.h"
 
+#include <algorithm>
+
 #include "qac/util/logging.h"
 
 namespace qac::chimera {
@@ -25,7 +27,7 @@ HardwareGraph::addEdge(uint32_t u, uint32_t v)
         panic("HardwareGraph: edge endpoint out of range");
     if (u == v)
         panic("HardwareGraph: self-loop");
-    if (!edge_set_.insert(key(u, v)).second)
+    if (hasEdge(u, v))
         return;
     adj_[u].push_back(v);
     adj_[v].push_back(u);
@@ -35,7 +37,13 @@ HardwareGraph::addEdge(uint32_t u, uint32_t v)
 bool
 HardwareGraph::hasEdge(uint32_t u, uint32_t v) const
 {
-    return edge_set_.count(key(u, v)) > 0;
+    if (u >= adj_.size() || v >= adj_.size())
+        return false;
+    const std::vector<uint32_t> &a = adj_[u];
+    const std::vector<uint32_t> &b = adj_[v];
+    if (a.size() <= b.size())
+        return std::find(a.begin(), a.end(), v) != a.end();
+    return std::find(b.begin(), b.end(), u) != b.end();
 }
 
 const std::vector<uint32_t> &

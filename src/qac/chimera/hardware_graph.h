@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <unordered_set>
 #include <vector>
 
 namespace qac::chimera {
@@ -28,6 +27,8 @@ class HardwareGraph
     /** Add an undirected coupler. Parallel edges are ignored. */
     void addEdge(uint32_t u, uint32_t v);
 
+    /** Scans the shorter of the two neighbour lists (Chimera degree is
+     *  at most 6). */
     bool hasEdge(uint32_t u, uint32_t v) const;
 
     const std::vector<uint32_t> &neighbors(uint32_t u) const;
@@ -45,17 +46,8 @@ class HardwareGraph
     static HardwareGraph complete(size_t n);
 
   private:
-    static uint64_t
-    key(uint32_t u, uint32_t v)
-    {
-        if (u > v)
-            std::swap(u, v);
-        return (static_cast<uint64_t>(u) << 32) | v;
-    }
-
     std::vector<std::vector<uint32_t>> adj_;
     std::vector<bool> active_;
-    std::unordered_set<uint64_t> edge_set_;
     size_t num_edges_ = 0;
 };
 

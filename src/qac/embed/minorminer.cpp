@@ -16,6 +16,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr uint32_t kNone = UINT32_MAX;
+/** A placement whose weights could sum to this or more could overflow
+ *  a path sum; its searches run to completion. */
+constexpr double kOverflowSum = 1e300;
+/** The first limit of a bounded search: a few unused-qubit hops. */
+constexpr double kFirstLimit = 2.0;
 
 class Embedder
 {
@@ -26,7 +31,8 @@ class Embedder
         : params_(params), n_(static_cast<uint32_t>(hw.numNodes())),
           nbrs_(num_logical),
           chains_(num_logical), usage_(n_, 0), active_(n_, 0),
-          adj_start_(n_ + 1, 0), weight_(n_, kInf)
+          adj_start_(n_ + 1, 0), comp_(n_, kNone), weight_(n_, kInf),
+          near_(n_, 0)
     {
         for (const auto &[a, b] : edges) {
             if (a >= num_logical || b >= num_logical)
@@ -50,6 +56,26 @@ class Embedder
                     if (active_[v])
                         adj_.push_back(v);
             adj_start_[q + 1] = static_cast<uint32_t>(adj_.size());
+        }
+        // Connected components of the active graph: without overflow a
+        // search reaches exactly its sources' component.
+        std::vector<uint32_t> stack;
+        uint32_t comps = 0;
+        for (uint32_t q = 0; q < n_; ++q) {
+            if (!active_[q] || comp_[q] != kNone)
+                continue;
+            comp_[q] = comps;
+            stack.push_back(q);
+            while (!stack.empty()) {
+                const uint32_t u = stack.back();
+                stack.pop_back();
+                for (uint32_t i = adj_start_[u]; i < adj_start_[u + 1]; ++i)
+                    if (comp_[adj_[i]] == kNone) {
+                        comp_[adj_[i]] = comps;
+                        stack.push_back(adj_[i]);
+                    }
+            }
+            ++comps;
         }
     }
 
@@ -80,6 +106,22 @@ class Embedder
         size_t head = 0;
     };
 
+    /** One neighbour chain's shortest-path search, settled level by
+     *  level up to a limit and resumable from there. */
+    struct Search
+    {
+        double *dist = nullptr; ///< row of dist_
+        uint32_t *pred = nullptr; ///< row of pred_
+        /** fifo[k]: pending labels set by a qubit of usage k. */
+        std::vector<Fifo> fifo;
+        std::vector<uint32_t> settled; ///< in settling order
+        /** The next pending level (kInf once the search is done): no
+         *  unsettled qubit ends up closer, and every qubit with
+         *  dist < next has its final dist and pred. */
+        double next = 0.0;
+        uint32_t comp = kNone; ///< the sources' component
+    };
+
     const EmbedParams &params_;
     const uint32_t n_; ///< hardware qubits
     std::vector<std::vector<uint32_t>> nbrs_; ///< logical adjacency
@@ -93,6 +135,7 @@ class Embedder
     std::vector<uint8_t> active_;
     std::vector<uint32_t> adj_start_; ///< CSR row starts into adj_
     std::vector<uint32_t> adj_;       ///< active neighbours of each qubit
+    std::vector<uint32_t> comp_; ///< active-graph component (kNone: dead)
 
     /** weight_[q] = pow_[usage_[q]] (kInf when dead), refreshed by
      *  refreshWeights() for each placement; pow_ holds this round's
@@ -100,16 +143,32 @@ class Embedder
     std::vector<double> weight_;
     std::vector<double> pow_;
     uint32_t pow_round_ = UINT32_MAX;
+    /** Whether a path sum could overflow this placement (n_ times the
+     *  largest weight reaches kOverflowSum): then searches run to
+     *  completion. */
+    bool overflow_ = false;
+    size_t fifos_ = 0; ///< label FIFOs per search: max usage + 1
 
     // Shortest-path state, one n_-sized row per embedded neighbour of
     // the vertex being placed, reused across placements.
     std::vector<double> dist_;
     std::vector<uint32_t> pred_;
+    std::vector<Search> search_;
     /** Labels of the distance level being settled in heap order. */
     std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>>
         level_;
-    /** fifo_[k]: pending labels set by a qubit of usage k. */
-    std::vector<Fifo> fifo_;
+    /** A root candidate still unsettled in some search. */
+    struct Open
+    {
+        uint32_t qubit;
+        double factor; ///< its noise factor
+        double bound;  ///< lower bound on its noisy cost
+    };
+    std::vector<Open> open_; ///< in qubit order
+    /** near_[q] == stamp_: some search of this placement settled q. */
+    std::vector<uint64_t> near_;
+    uint64_t stamp_ = 0;
+    uint64_t raises_ = 0; ///< limit raises of the current placement
 
     /**
      * Weight every qubit for the placement about to run.  The penalty
@@ -118,7 +177,8 @@ class Embedder
      * qubits (CMR use |V|^usage).  Escalate mildly with the round to
      * shake persistent overlaps.  Usage only changes once the new chain
      * is installed, so these weights hold for the whole placement.
-     * Also gives every usage value present a label FIFO.
+     * Also gives every usage value present a label FIFO, and notes
+     * whether a path sum could overflow.
      */
     void
     refreshWeights()
@@ -132,126 +192,320 @@ class Embedder
                           : static_cast<double>(n_);
         base *= static_cast<double>(1 + round_);
         uint32_t max_use = 0;
-        for (uint32_t q = 0; q < n_; ++q) {
-            if (!active_[q])
-                continue;
-            const uint32_t k = usage_[q];
-            max_use = std::max(max_use, k);
-            while (pow_.size() <= k)
-                pow_.push_back(
-                    std::pow(base, static_cast<double>(pow_.size())));
-            weight_[q] = pow_[k];
-        }
-        if (fifo_.size() <= max_use)
-            fifo_.resize(max_use + 1);
+        for (uint32_t q = 0; q < n_; ++q)
+            max_use = std::max(max_use, usage_[q]);
+        while (pow_.size() <= max_use)
+            pow_.push_back(std::pow(base, static_cast<double>(pow_.size())));
+        for (uint32_t q = 0; q < n_; ++q)
+            if (active_[q])
+                weight_[q] = pow_[usage_[q]];
+        // n_ * pow_[max_use] bounds every path sum, kInf included.
+        overflow_ = !(pow_[max_use] < kOverflowSum / n_);
+        fifos_ = std::max<size_t>(fifos_, max_use + 1);
     }
 
     /**
-     * Multi-source shortest paths from every qubit of @p sources.
-     * dist[q] is the summed weight of the *interior* qubits on the
-     * cheapest path from the source set to q — q's own weight is
-     * excluded, so the caller can charge the root qubit exactly once
-     * across neighbors.  pred[q] walks back toward the source set and
-     * is kNone exactly on the source chain and on unreachable qubits.
+     * Start a multi-source shortest-path search from every qubit of
+     * @p sources and settle its level 0.  dist[q] is the summed weight
+     * of the *interior* qubits on the cheapest path from the source set
+     * to q — q's own weight is excluded, so the caller can charge the
+     * root qubit exactly once across neighbors.  pred[q] walks back
+     * toward the source set and is kNone exactly on the source chain
+     * and on unreachable qubits.  resume() settles further levels.
      *
-     * The result, pred included, is exactly that of a binary-heap
-     * Dijkstra popping (dist, qubit) pairs in lexicographic order and
-     * keeping the first predecessor to reach each qubit's final
-     * distance; see DESIGN.md §3 (src/embed) for why the buckets below
-     * reproduce it.
+     * Every settled qubit's dist and pred are exactly those of a
+     * binary-heap Dijkstra popping (dist, qubit) pairs in lexicographic
+     * order and keeping the first predecessor to reach each qubit's
+     * final distance; see DESIGN.md §3 (src/embed) for why the buckets
+     * below reproduce it.
      */
     void
-    shortestPaths(const std::vector<uint32_t> &sources, double *dist,
-                  uint32_t *pred)
+    start(Search &s, const std::vector<uint32_t> &sources)
     {
-        std::fill(dist, dist + n_, kInf);
-        std::fill(pred, pred + n_, kNone);
-        for (Fifo &f : fifo_) {
+        std::fill(s.dist, s.dist + n_, kInf);
+        std::fill(s.pred, s.pred + n_, kNone);
+        if (s.fifo.size() < fifos_)
+            s.fifo.resize(fifos_);
+        for (Fifo &f : s.fifo) {
             f.labels.clear();
             f.head = 0;
         }
-        for (uint32_t s : sources) {
-            dist[s] = 0.0;
-            level_.push(s);
+        s.settled.clear();
+        s.comp = comp_[sources[0]];
+        for (uint32_t q : sources) {
+            s.dist[q] = 0.0;
+            level_.push(q);
         }
+        drainLevel(s, 0.0);
+        s.next = nextLevel(s);
+    }
 
-        // Settle qubit u at distance d.  Entering a neighbour costs
-        // u's weight, except from a source-chain qubit (a settled qubit
-        // without a predecessor).  A label at the current distance
-        // joins the level heap; any larger one goes to the FIFO of u's
-        // usage, whose labels arrive in nondecreasing order because
-        // qubits are settled in nondecreasing distance and that FIFO's
-        // weight is constant.  A source keeps distance 0, which no
-        // label undercuts, and ties are only re-ordered above 0, so
-        // sources need no test.
-        auto settle = [&](uint32_t u, double d, bool reorder_ties) {
-            const double nd = d + (pred[u] == kNone ? 0.0 : weight_[u]);
-            if (nd == kInf)
-                return;
-            auto &fifo = fifo_[usage_[u]].labels;
-            const uint32_t *e = adj_.data() + adj_start_[u];
-            const uint32_t *end = adj_.data() + adj_start_[u + 1];
-            for (; e != end; ++e) {
-                const uint32_t v = *e;
-                if (nd < dist[v]) {
-                    dist[v] = nd;
-                    pred[v] = u;
-                    if (nd == d)
-                        level_.push(v);
-                    else
-                        fifo.push_back({nd, v});
-                } else if (reorder_ties && nd == dist[v] && u < pred[v] &&
-                           dist[pred[v]] == d) {
-                    // The heap would have settled u before pred[v].
-                    pred[v] = u;
-                }
-            }
-        };
-
-        double d = 0.0;
-        for (;;) {
-            // Heap order within the level: sources and any label that
-            // stays at d (zero-weight or absorbed hops) pop by qubit id
-            // as they arrive.
-            while (!level_.empty()) {
-                const uint32_t u = level_.top();
-                level_.pop();
-                settle(u, d, false);
-            }
-
-            // The next distance level: the smallest live FIFO head.
-            d = kInf;
-            for (Fifo &f : fifo_) {
-                const auto &l = f.labels;
-                while (f.head < l.size() &&
-                       l[f.head].dist > dist[l[f.head].node])
-                    ++f.head; // superseded by a shorter label
-                if (f.head < l.size())
-                    d = std::min(d, l[f.head].dist);
-            }
-            if (d == kInf)
-                break;
-
+    /** Settle every level of @p s up to and including @p limit. */
+    void
+    resume(Search &s, double limit)
+    {
+        while (s.next <= limit && s.next != kInf) {
+            const double d = s.next;
             // Every weight is at least 1, so unless adding 1 rounds
             // back to d no label set at this level lands on it: the
             // level is final now, and settling it FIFO by FIFO only
             // needs ties re-ordered.  Otherwise hand the level to the
             // heap.
             const bool absorbing = d + 1.0 == d;
-            for (Fifo &f : fifo_) {
+            for (Fifo &f : s.fifo) {
                 // settle() may append to f.labels: index, don't iterate.
                 for (; f.head < f.labels.size() &&
                        f.labels[f.head].dist == d;
                      ++f.head) {
                     const uint32_t u = f.labels[f.head].node;
-                    if (d > dist[u])
+                    if (d > s.dist[u])
                         continue;
                     if (absorbing)
                         level_.push(u);
                     else
-                        settle(u, d, true);
+                        settle(s, u, d, true);
                 }
             }
+            drainLevel(s, d);
+            s.next = nextLevel(s);
+        }
+    }
+
+    /** Heap order within level @p d: sources and any label that stays
+     *  at d (zero-weight or absorbed hops) pop by qubit id as they
+     *  arrive. */
+    void
+    drainLevel(Search &s, double d)
+    {
+        while (!level_.empty()) {
+            const uint32_t u = level_.top();
+            level_.pop();
+            settle(s, u, d, false);
+        }
+    }
+
+    /** The smallest live FIFO head of @p s, or kInf. */
+    static double
+    nextLevel(Search &s)
+    {
+        double d = kInf;
+        for (Fifo &f : s.fifo) {
+            const auto &l = f.labels;
+            while (f.head < l.size() &&
+                   l[f.head].dist > s.dist[l[f.head].node])
+                ++f.head; // superseded by a shorter label
+            if (f.head < l.size())
+                d = std::min(d, l[f.head].dist);
+        }
+        return d;
+    }
+
+    /**
+     * Settle qubit u at distance d.  Entering a neighbour costs u's
+     * weight, except from a source-chain qubit (a settled qubit without
+     * a predecessor).  A label at the current distance joins the level
+     * heap; any larger one goes to the FIFO of u's usage, whose labels
+     * arrive in nondecreasing order because qubits are settled in
+     * nondecreasing distance and that FIFO's weight is constant.  A
+     * source keeps distance 0, which no label undercuts, and ties are
+     * only re-ordered above 0, so sources need no test.
+     */
+    void
+    settle(Search &s, uint32_t u, double d, bool reorder_ties)
+    {
+        s.settled.push_back(u);
+        double *dist = s.dist;
+        uint32_t *pred = s.pred;
+        const double nd = d + (pred[u] == kNone ? 0.0 : weight_[u]);
+        if (nd == kInf)
+            return;
+        auto &fifo = s.fifo[usage_[u]].labels;
+        const uint32_t *e = adj_.data() + adj_start_[u];
+        const uint32_t *end = adj_.data() + adj_start_[u + 1];
+        for (; e != end; ++e) {
+            const uint32_t v = *e;
+            if (nd < dist[v]) {
+                dist[v] = nd;
+                pred[v] = u;
+                if (nd == d)
+                    level_.push(v);
+                else
+                    fifo.push_back({nd, v});
+            } else if (reorder_ties && nd == dist[v] && u < pred[v] &&
+                       dist[pred[v]] == d) {
+                // The heap would have settled u before pred[v].
+                pred[v] = u;
+            }
+        }
+    }
+
+    /** Raise the limit of the first @p rows searches (doubling, and at
+     *  least to the nearest pending level) and resume them; false when
+     *  every search is already finished. */
+    bool
+    raiseLimit(double &limit, size_t rows)
+    {
+        double next = kInf;
+        for (size_t k = 0; k < rows; ++k)
+            next = std::min(next, search_[k].next);
+        if (next == kInf)
+            return false;
+        ++raises_;
+        limit = std::max(2.0 * limit, next);
+        for (size_t k = 0; k < rows; ++k)
+            resume(search_[k], limit);
+        return true;
+    }
+
+    /** Whether a root candidate is settled in every search, open
+     *  (unsettled in some), or unreachable from some chain. */
+    enum class Reach
+    {
+        Settled,
+        Open,
+        Infeasible
+    };
+
+    /**
+     * Root candidate @p q's weight plus its distance from each of the
+     * first @p rows searches: exact when it is settled in every search,
+     * else a lower bound that charges each search it is unsettled in
+     * that search's next level (the same sum in the same order, so
+     * rounding keeps it a bound).  A root is infeasible when some chain
+     * cannot reach it: it is dead, in another component, or unsettled
+     * in a finished search (the only case under overflow, where every
+     * search is finished).
+     */
+    double
+    rootCost(uint32_t q, size_t rows, Reach &reach) const
+    {
+        double c = weight_[q];
+        reach = c == kInf ? Reach::Infeasible : Reach::Settled;
+        for (size_t k = 0; k < rows && reach != Reach::Infeasible; ++k) {
+            // A root inside the neighbor's chain connects for free (its
+            // distance is 0).
+            const Search &s = search_[k];
+            const double d = s.dist[q];
+            if (d < s.next) {
+                c += d;
+            } else if (comp_[q] != s.comp || s.next == kInf) {
+                reach = Reach::Infeasible;
+            } else {
+                c += s.next;
+                reach = Reach::Open;
+            }
+        }
+        return c;
+    }
+
+    /** The least noisy cost of a root settled in every search, with its
+     *  noise factor at its largest (1 + noise_): it caps the best cost.
+     *  kInf when no root is settled in every search. */
+    double
+    upperBound(size_t rows) const
+    {
+        const Search *fewest = &search_[0];
+        for (size_t k = 1; k < rows; ++k)
+            if (search_[k].settled.size() < fewest->settled.size())
+                fewest = &search_[k];
+        double ub = kInf;
+        for (uint32_t q : fewest->settled) {
+            Reach reach;
+            const double c = rootCost(q, rows, reach);
+            if (reach == Reach::Settled)
+                ub = std::min(ub, c * (1.0 + noise_));
+        }
+        return ub;
+    }
+
+    /**
+     * The root minimizing own weight + total interior connection cost
+     * over the first @p rows searches, raising their @p limit only as
+     * far as that choice needs; kNone when no root is feasible.  The
+     * choice is the one complete searches would make.
+     */
+    uint32_t
+    chooseRoot(size_t rows, double limit, Rng &rng)
+    {
+        // Costs carry multiplicative noise: the hardware graph is
+        // highly symmetric and many near-equal placements exist;
+        // deterministic selection reliably traps the search in local
+        // minima (e.g. a walled-in singleton chain whose only overlap
+        // spot never moves), while noisy selection lets the overlap
+        // wander until a re-placement cascade resolves it.
+        double ub = upperBound(rows);
+        while (ub == kInf && raiseLimit(limit, rows))
+            ub = upperBound(rows);
+
+        // Every feasible root draws its noise in qubit order, as if
+        // every search were finished.  An open root whose bound exceeds
+        // the best cost can never win; while any other stays open, the
+        // limit rises.  A bound equal to the best cost keeps its root
+        // open, so the lowest qubit still wins among equal costs.
+        //
+        // Most qubits are far: no search has settled them, so they are
+        // open everywhere, and feasible only when every search is
+        // unfinished and in their component.
+        ++stamp_;
+        bool far_ok = true;
+        for (size_t k = 0; k < rows; ++k) {
+            const Search &s = search_[k];
+            far_ok = far_ok && s.next != kInf && s.comp == search_[0].comp;
+            for (uint32_t q : s.settled)
+                near_[q] = stamp_;
+        }
+        uint32_t root = kNone;
+        double best_cost = kInf;
+        open_.clear();
+        for (uint32_t q = 0; q < n_; ++q) {
+            Reach reach = Reach::Open;
+            double c = weight_[q];
+            if (near_[q] == stamp_) {
+                c = rootCost(q, rows, reach);
+            } else if (c == kInf || !far_ok ||
+                       comp_[q] != search_[0].comp) {
+                continue;
+            } else {
+                for (size_t k = 0; k < rows; ++k)
+                    c += search_[k].next;
+            }
+            if (reach == Reach::Infeasible)
+                continue;
+            // Noise anneals away over the rounds: early exploration,
+            // late convergence.
+            const double factor = 1.0 + noise_ * rng.uniform();
+            c *= factor;
+            if (reach == Reach::Open) {
+                if (c <= best_cost && c <= ub)
+                    open_.push_back({q, factor, c});
+            } else if (c < best_cost) {
+                best_cost = c;
+                root = q;
+            }
+        }
+        for (;;) {
+            size_t kept = 0;
+            for (const Open &o : open_)
+                if (o.bound <= best_cost)
+                    open_[kept++] = o;
+            open_.resize(kept);
+            if (open_.empty() || !raiseLimit(limit, rows))
+                return root;
+            kept = 0;
+            for (Open o : open_) {
+                Reach reach;
+                const double c = rootCost(o.qubit, rows, reach) * o.factor;
+                if (reach == Reach::Open) {
+                    o.bound = c;
+                    open_[kept++] = o;
+                } else if (reach == Reach::Settled &&
+                           (c < best_cost ||
+                            (c == best_cost && o.qubit < root))) {
+                    best_cost = c;
+                    root = o.qubit;
+                }
+            }
+            open_.resize(kept);
         }
     }
 
@@ -320,51 +574,33 @@ class Embedder
             return true;
         }
 
-        // One shortest-path search per embedded neighbor.
+        // One shortest-path search per embedded neighbor, settled only
+        // as far as the root choice needs.
         refreshWeights();
         const size_t rows = embedded_nbrs.size();
         if (dist_.size() < rows * n_) {
             dist_.resize(rows * n_);
             pred_.resize(rows * n_);
         }
-        for (size_t k = 0; k < rows; ++k)
-            shortestPaths(chains_[embedded_nbrs[k]], &dist_[k * n_],
-                          &pred_[k * n_]);
+        if (search_.size() < rows)
+            search_.resize(rows);
+        raises_ = 0;
+        double limit = overflow_ ? kInf : kFirstLimit;
+        for (size_t k = 0; k < rows; ++k) {
+            Search &s = search_[k];
+            s.dist = &dist_[k * n_];
+            s.pred = &pred_[k * n_];
+            start(s, chains_[embedded_nbrs[k]]);
+            resume(s, limit);
+        }
 
-        // Root minimizing own weight + total interior connection cost.
-        // Costs carry multiplicative noise: the hardware graph is
-        // highly symmetric and many near-equal placements exist;
-        // deterministic selection reliably traps the search in local
-        // minima (e.g. a walled-in singleton chain whose only overlap
-        // spot never moves), while noisy selection lets the overlap
-        // wander until a re-placement cascade resolves it.
-        uint32_t root = kNone;
-        double best_cost = kInf;
-        for (uint32_t q = 0; q < n_; ++q) {
-            const double w = weight_[q];
-            if (w == kInf)
-                continue;
-            double c = w;
-            bool feasible = true;
-            for (size_t k = 0; k < rows; ++k) {
-                // A root inside the neighbor's chain connects for free
-                // (its distance is 0).
-                const double d = dist_[k * n_ + q];
-                if (d == kInf) {
-                    feasible = false;
-                    break;
-                }
-                c += d;
-            }
-            if (!feasible)
-                continue;
-            // Noise anneals away over the rounds: early exploration,
-            // late convergence.
-            c *= 1.0 + noise_ * rng.uniform();
-            if (c < best_cost) {
-                best_cost = c;
-                root = q;
-            }
+        const uint32_t root = chooseRoot(rows, limit, rng);
+        if (stats::Registry::global().enabled()) {
+            uint64_t settled = 0;
+            for (size_t k = 0; k < rows; ++k)
+                settled += search_[k].settled.size();
+            stats::count("embed.minorminer.settled", settled);
+            stats::count("embed.minorminer.limit_raises", raises_);
         }
         if (root == kNone)
             return false;

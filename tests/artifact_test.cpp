@@ -467,6 +467,32 @@ TEST(Cache, StoreLoadAndLruEviction)
     EXPECT_LT(files, 3u);
 }
 
+TEST(Cache, BytesGaugeMatchesDiskAfterEviction)
+{
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    CacheOptions opts;
+    opts.dir = scratchDir("gauge");
+    opts.max_bytes = 250;
+    Cache cache(opts);
+    ASSERT_TRUE(cache.enabled());
+
+    // Entries of 100, 70 and 120 bytes: the third store evicts.
+    EXPECT_TRUE(cache.store("a", std::string(100, 'a')));
+    EXPECT_TRUE(cache.store("b", std::string(70, 'b')));
+    EXPECT_TRUE(cache.store("c", std::string(120, 'c')));
+    EXPECT_GE(counterValue("qac.cache.evict"), 1u);
+    uint64_t on_disk = 0;
+    for (const auto &e : fs::directory_iterator(opts.dir))
+        on_disk += e.file_size();
+    EXPECT_LE(on_disk, opts.max_bytes);
+    EXPECT_EQ(counterValue("qac.cache.bytes"), on_disk);
+
+    reg.reset();
+    reg.setEnabled(prev);
+}
+
 TEST(Cache, UnusableDirDisablesGracefully)
 {
     CacheOptions opts;

@@ -20,6 +20,7 @@
 #include "qac/embed/embed_model.h"
 #include "qac/embed/minorminer.h"
 #include "qac/embed/roof_duality.h"
+#include "qac/stats/registry.h"
 #include "qac/util/hash.h"
 #include "qac/util/logging.h"
 #include "qac/util/rng.h"
@@ -170,6 +171,43 @@ TEST(FindEmbedding, RespectsDropout)
             EXPECT_TRUE(hw.isActive(q));
 }
 
+uint64_t
+counterValue(const std::string &path)
+{
+    for (const auto &m : stats::Registry::global().snapshot())
+        if (m.path == path && m.kind == stats::MetricKind::Counter)
+            return m.count;
+    return 0;
+}
+
+// The bounded searches publish their effort once per placement, and
+// only while the registry is on.
+TEST(FindEmbedding, CountsSearchEffortOnlyWhileEnabled)
+{
+    auto &reg = stats::Registry::global();
+    HardwareGraph hw = chimera::chimeraGraph(16);
+    EmbedParams p;
+    p.threads = 1;
+    p.tries = 1;
+
+    bool prev = reg.setEnabled(false);
+    reg.reset();
+    ASSERT_TRUE(findEmbedding(cliqueEdges(5), 5, hw, p));
+    EXPECT_TRUE(reg.snapshot().empty());
+
+    reg.setEnabled(true);
+    ASSERT_TRUE(findEmbedding(cliqueEdges(5), 5, hw, p));
+    const uint64_t settled = counterValue("embed.minorminer.settled");
+    EXPECT_GT(settled, 0u);
+    bool raises = false;
+    for (const auto &m : reg.snapshot())
+        raises = raises || m.path == "embed.minorminer.limit_raises";
+    EXPECT_TRUE(raises);
+
+    reg.reset();
+    reg.setEnabled(prev);
+}
+
 // Weights are base^usage; below 1 (or non-finite) an overlap no longer
 // outweighs a detour, so only 0 (auto) and finite bases >= 1 embed.
 TEST(FindEmbedding, RejectsOveruseBaseBelowOneOrNonFinite)
@@ -267,8 +305,8 @@ class EmbedGolden : public ::testing::TestWithParam<uint32_t>
 {};
 
 // The chains findEmbedding returned, seed for seed, before its
-// shortest-path search was rewritten (tests/golden/embeddings.txt),
-// at one thread and at eight.
+// shortest-path search was rewritten and then bounded
+// (tests/golden/embeddings.txt), at one thread and at eight.
 TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
 {
     const uint32_t threads = GetParam();
@@ -305,22 +343,29 @@ TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
             l.num_vars = res.assembled.model.numVars();
             it = logical.emplace(g.program, std::move(l)).first;
         }
-        HardwareGraph hw = chimera::chimeraGraph(16);
+        HardwareGraph hw = chimera::chimeraGraph(g.variant == "c3" ? 3 : 16);
         EmbedParams p;
         p.seed = g.seed;
         p.threads = threads;
         if (g.variant == "dropout")
             chimera::applyDropout(hw, 0.08, 7);
+        else if (g.variant == "drop50")
+            chimera::applyDropout(hw, 0.5, g.seed);
         else if (g.variant == "base3")
             p.overuse_base = 3.0;
-        else
+        else if (g.variant == "base1e20")
+            p.overuse_base = 1e20;
+        else if (g.variant == "base1e100")
+            p.overuse_base = 1e100;
+        else if (g.variant != "c3") {
             ASSERT_EQ(g.variant, "c16");
+        }
         EXPECT_EQ(chainDigest(findEmbedding(it->second.edges,
                                             it->second.num_vars, hw, p)),
                   g.digest);
         ++checked;
     }
-    EXPECT_EQ(checked, 137u);
+    EXPECT_EQ(checked, 168u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, EmbedGolden, ::testing::Values(1u, 8u));
