@@ -1,9 +1,12 @@
 #include "qac/artifact/cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include <sys/stat.h>
@@ -59,7 +62,40 @@ hashHardware(util::Hasher &h, const chimera::HardwareGraph &hw)
     }
 }
 
+/** In-flight writes are "<name>.tmp.<pid>.<n>"; eviction skips them. */
+bool
+isTempFile(const fs::path &p)
+{
+    return p.filename().native().find(".tmp.") != std::string::npos;
+}
+
 } // namespace
+
+/**
+ * Process-wide running size of one cache directory, shared by every
+ * Cache opened on it (core::compile builds a fresh Cache per compile).
+ * Exact while this process is the only writer; the walk every
+ * max_bytes/8 of stores catches up with everyone else's writes.
+ */
+struct Cache::Ledger
+{
+    std::mutex mu;
+    bool synced = false; ///< a walk has counted the directory
+    uint64_t bytes = 0;
+    uint64_t stored_since_walk = 0;
+};
+
+Cache::Ledger &
+Cache::ledgerFor(const std::string &dir)
+{
+    static std::mutex mu;
+    // Never destroyed: a Cache may outlive static destruction order.
+    static auto *ledgers = new std::map<std::string, Ledger>();
+    std::error_code ec;
+    fs::path key = fs::canonical(dir, ec);
+    std::lock_guard<std::mutex> lock(mu);
+    return (*ledgers)[ec ? dir : key.string()];
+}
 
 std::string
 defaultCacheDir()
@@ -86,7 +122,9 @@ Cache::Cache(const CacheOptions &opts)
         warn("cache: cannot create '%s' (%s); caching disabled",
              dir_.c_str(), ec.message().c_str());
         enabled_ = false;
+        return;
     }
+    ledger_ = &ledgerFor(dir_);
 }
 
 std::optional<std::string>
@@ -114,8 +152,12 @@ Cache::store(const std::string &name, std::string_view bytes)
     if (!enabled_)
         return false;
     fs::path path = fs::path(dir_) / name;
+    // Unique per write, so concurrent stores of one entry never share
+    // a temp file.
+    static std::atomic<uint64_t> tmp_seq{0};
     fs::path tmp = path;
-    tmp += format(".tmp.%d", static_cast<int>(::getpid()));
+    tmp += format(".tmp.%d.%llu", static_cast<int>(::getpid()),
+                  static_cast<unsigned long long>(tmp_seq++));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out ||
@@ -127,6 +169,13 @@ Cache::store(const std::string &name, std::string_view bytes)
             return false;
         }
     }
+    Ledger &l = *ledger_;
+    std::lock_guard<std::mutex> lock(l.mu);
+    // The bytes this store replaces, so a rewrite is not counted twice.
+    struct stat st;
+    uint64_t replaced = ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)
+        ? static_cast<uint64_t>(st.st_size)
+        : 0;
     std::error_code ec;
     fs::rename(tmp, path, ec);
     if (ec) {
@@ -135,13 +184,22 @@ Cache::store(const std::string &name, std::string_view bytes)
         fs::remove(tmp, ec);
         return false;
     }
-    stats::gauge("qac.cache.bytes", evict());
+    l.bytes = l.bytes - std::min(l.bytes, replaced) + bytes.size();
+    l.stored_since_walk += bytes.size();
+    if (!l.synced || l.bytes > max_bytes_ ||
+        l.stored_since_walk >= max_bytes_ / 8) {
+        l.bytes = evict();
+        l.synced = true;
+        l.stored_since_walk = 0;
+    }
+    stats::gauge("qac.cache.bytes", l.bytes);
     return true;
 }
 
 uint64_t
 Cache::evict()
 {
+    stats::count("qac.cache.walks");
     std::error_code ec;
     struct File
     {
@@ -152,6 +210,8 @@ Cache::evict()
     std::vector<File> files;
     uint64_t total = 0;
     for (const auto &e : fs::directory_iterator(dir_, ec)) {
+        if (isTempFile(e.path()))
+            continue;
         // One stat per entry: type, size and mtime together.
         struct stat st;
         if (::stat(e.path().c_str(), &st) != 0 || !S_ISREG(st.st_mode))
@@ -167,8 +227,11 @@ Cache::evict()
               [](const File &a, const File &b) {
                   return a.mtime < b.mtime;
               });
+    // Evict an eighth below the cap, so a full cache walks once per
+    // max_bytes/8 of stores instead of on every store.
+    const uint64_t low_water = max_bytes_ - max_bytes_ / 8;
     for (const auto &f : files) {
-        if (total <= max_bytes_)
+        if (total <= low_water)
             break;
         std::error_code rec;
         if (fs::remove(f.path, rec)) {

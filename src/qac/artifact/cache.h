@@ -10,14 +10,24 @@
  * the embedder parameters, and the artifact format version.
  *
  * Robustness rules (a cache must never break a compile):
- *  - writes are atomic (temp file + rename in the same directory);
- *  - the store is LRU size-capped (eviction by mtime after store);
+ *  - writes are atomic (a temp file "<name>.tmp.<pid>.<n>", unique
+ *    per write, renamed in the same directory);
+ *  - the store is LRU size-capped.  A process-wide ledger per
+ *    directory tracks its bytes, so a store walks the directory only
+ *    when it is the first store into that directory in this process,
+ *    when the ledger says the cap is exceeded, or after max_bytes/8
+ *    of stores since the last walk.  A walk over the cap evicts by
+ *    mtime, oldest first, down to max_bytes - max_bytes/8.  Other
+ *    processes' writes can push the directory at most max_bytes/8
+ *    per writer over the cap before the next walk notices them;
  *  - corrupt, truncated, or version-mismatched entries log a warning,
  *    count qac.cache.corrupt, and behave as a miss;
  *  - any filesystem failure degrades to "cache disabled", never to a
  *    failed compile.
  *
- * Stats: qac.cache.{hit,miss,corrupt,evict,bytes,lookup_time}.
+ * Stats: qac.cache.{hit,miss,corrupt,evict,bytes,walks,lookup_time};
+ * bytes is gauged from the ledger after each store, walks counts
+ * directory walks.
  */
 
 #ifndef QAC_ARTIFACT_CACHE_H
@@ -48,7 +58,8 @@ struct CacheOptions
     bool enabled = true;
     /** Cache root; empty = defaultCacheDir(). */
     std::string dir;
-    /** LRU size cap; eviction runs after each store. */
+    /** LRU size cap on the directory's bytes, checked after each
+     *  store against the process-wide ledger (see the file comment). */
     uint64_t max_bytes = 256ull << 20;
 };
 
@@ -69,20 +80,28 @@ class Cache
     std::optional<std::string> load(const std::string &name);
 
     /**
-     * Atomically persist entry @p name, then evict least-recently-used
-     * entries until the directory fits max_bytes.  Failures warn and
-     * return false; they never throw.
+     * Atomically persist entry @p name and add it to the directory's
+     * ledger.  When the ledger calls for a walk (see the file
+     * comment), evict least-recently-used entries if the directory is
+     * over max_bytes.  Safe to call from several threads, also for the
+     * same @p name.  Names must not contain ".tmp.".  Failures warn
+     * and return false; they never throw.
      */
     bool store(const std::string &name, std::string_view bytes);
 
   private:
-    /** Evict least-recently-used entries down to max_bytes; returns
-     *  the bytes left in the directory. */
+    struct Ledger;
+    static Ledger &ledgerFor(const std::string &dir);
+
+    /** Walk the directory; if it is over max_bytes, evict
+     *  least-recently-used entries down to max_bytes - max_bytes/8.
+     *  Returns the bytes left.  Called with the ledger locked. */
     uint64_t evict();
 
     bool enabled_ = false;
     std::string dir_;
     uint64_t max_bytes_ = 0;
+    Ledger *ledger_ = nullptr;
 };
 
 // ---- the embedding memo the compiler stores in the cache ----

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <optional>
 
 #include "qac/qmasm/expand.h"
 #include "qac/stats/registry.h"
@@ -37,13 +38,16 @@ struct UnionFind
     }
 };
 
-/** Recursive-descent evaluator for assert expressions. */
+/**
+ * Recursive-descent evaluator for assert expressions.  @p lookup maps
+ * an operand name to its value, or to nullopt when it is unknown.
+ */
+template <class Lookup>
 class AssertEval
 {
   public:
-    AssertEval(const std::string &src,
-               const std::map<std::string, bool> &values)
-        : src_(src), values_(values)
+    AssertEval(const std::string &src, const Lookup &lookup)
+        : src_(src), lookup_(lookup)
     {}
 
     bool
@@ -59,7 +63,7 @@ class AssertEval
 
   private:
     const std::string &src_;
-    const std::map<std::string, bool> &values_;
+    const Lookup &lookup_;
     size_t pos_ = 0;
 
     void
@@ -161,10 +165,10 @@ class AssertEval
             return true;
         if (sym == "false" || sym == "0")
             return false;
-        auto it = values_.find(sym);
-        if (it == values_.end())
+        std::optional<bool> v = lookup_(sym);
+        if (!v)
             fatal("assert expression: unknown symbol '%s'", sym.c_str());
-        return it->second;
+        return *v;
     }
 };
 
@@ -174,7 +178,13 @@ bool
 evalAssertExpr(const std::string &expr,
                const std::map<std::string, bool> &values)
 {
-    return AssertEval(expr, values).run();
+    auto lookup = [&](const std::string &sym) -> std::optional<bool> {
+        auto it = values.find(sym);
+        if (it == values.end())
+            return std::nullopt;
+        return it->second;
+    };
+    return AssertEval(expr, lookup).run();
 }
 
 uint32_t
@@ -213,11 +223,14 @@ bool
 Assembled::checkAsserts(const ising::SpinVector &spins,
                         std::string *failed) const
 {
-    std::map<std::string, bool> values;
-    for (const auto &[sym, idx] : sym_to_var)
-        values[sym] = ising::spinToBool(spins[idx]);
+    auto lookup = [&](const std::string &sym) -> std::optional<bool> {
+        auto it = sym_to_var.find(sym);
+        if (it == sym_to_var.end())
+            return std::nullopt;
+        return ising::spinToBool(spins[it->second]);
+    };
     for (const auto &expr : asserts) {
-        if (!evalAssertExpr(expr, values)) {
+        if (!AssertEval(expr, lookup).run()) {
             if (failed)
                 *failed = expr;
             return false;

@@ -3,8 +3,9 @@
  * Tests for the compiled-artifact subsystem: the .qo object format
  * (exact canonical round-trips, structured corruption errors) and the
  * content-addressed embedding cache (warm hits skip the embedder,
- * corrupt entries degrade to recompute, LRU eviction, negative
- * entries, environment-variable configuration).
+ * corrupt entries degrade to recompute, LRU eviction, the shared size
+ * ledger that spares most stores a directory walk, concurrent stores,
+ * negative entries, environment-variable configuration).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -81,6 +84,17 @@ timerCalls(const std::string &path)
         if (m.path == path && m.kind == stats::MetricKind::Timer)
             return m.count;
     return 0;
+}
+
+/** Bytes of every regular file in @p dir. */
+uint64_t
+diskBytes(const std::string &dir)
+{
+    uint64_t total = 0;
+    for (const auto &e : fs::directory_iterator(dir))
+        if (e.is_regular_file())
+            total += e.file_size();
+    return total;
 }
 
 // ---------------------------------------------------------------- serial
@@ -488,6 +502,151 @@ TEST(Cache, BytesGaugeMatchesDiskAfterEviction)
         on_disk += e.file_size();
     EXPECT_LE(on_disk, opts.max_bytes);
     EXPECT_EQ(counterValue("qac.cache.bytes"), on_disk);
+
+    reg.reset();
+    reg.setEnabled(prev);
+}
+
+TEST(Cache, ConcurrentStoresOfOneEntryAllSucceed)
+{
+    const std::string blob(64 << 10, 'q');
+    CacheOptions opts;
+    opts.dir = scratchDir("concurrent");
+    // Two entries' worth: every store walks while other threads'
+    // temp files are on disk, and the walk must leave them alone.
+    opts.max_bytes = 2 * blob.size();
+    Cache cache(opts);
+    ASSERT_TRUE(cache.enabled());
+
+    constexpr int kThreads = 8, kStores = 50;
+    std::vector<int> failures(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kStores; ++i)
+                failures[t] += !cache.store("same", blob);
+        });
+    for (auto &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(failures[t], 0) << "thread " << t;
+    auto got = cache.load("same");
+    ASSERT_TRUE(got);
+    EXPECT_EQ(*got, blob);
+    // No temp file outlives its store.
+    EXPECT_EQ(diskBytes(opts.dir), blob.size());
+}
+
+TEST(Cache, FullCacheWalksOncePerEighthOfStores)
+{
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    CacheOptions opts;
+    opts.dir = scratchDir("ledger");
+    opts.max_bytes = 8000;
+    Cache cache(opts);
+    ASSERT_TRUE(cache.enabled());
+
+    // Fill to the cap with 50-byte entries, then keep storing.
+    const std::string blob(50, 'l');
+    int n = 0;
+    while (diskBytes(opts.dir) + blob.size() <= opts.max_bytes)
+        ASSERT_TRUE(cache.store("fill" + std::to_string(n++), blob));
+    const uint64_t walks_at_cap = counterValue("qac.cache.walks");
+    constexpr int kStores = 400;
+    for (int i = 0; i < kStores; ++i) {
+        ASSERT_TRUE(cache.store("e" + std::to_string(i), blob));
+        uint64_t on_disk = diskBytes(opts.dir);
+        ASSERT_LE(on_disk, opts.max_bytes) << "store " << i;
+        ASSERT_EQ(counterValue("qac.cache.bytes"), on_disk)
+            << "store " << i;
+    }
+    uint64_t walks = counterValue("qac.cache.walks") - walks_at_cap;
+    EXPECT_GE(counterValue("qac.cache.evict"), 1u);
+    EXPECT_GE(walks, 1u);
+    EXPECT_LE(walks, kStores / 5u);
+
+    reg.reset();
+    reg.setEnabled(prev);
+}
+
+TEST(Cache, ReplacingAnEntryIsNotCountedTwice)
+{
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    CacheOptions opts;
+    opts.dir = scratchDir("replace");
+    opts.max_bytes = 1 << 20;
+    Cache cache(opts);
+    ASSERT_TRUE(cache.enabled());
+
+    // Far below max_bytes/8 of stores: only the first store walks, so
+    // the gauge is the ledger's own arithmetic.
+    for (size_t size : {300, 300, 50, 700}) {
+        ASSERT_TRUE(cache.store("a", std::string(size, 'r')));
+        EXPECT_EQ(counterValue("qac.cache.bytes"), size);
+    }
+    ASSERT_TRUE(cache.store("b", std::string(10, 'r')));
+    EXPECT_EQ(counterValue("qac.cache.bytes"), 710u);
+    EXPECT_EQ(diskBytes(opts.dir), 710u);
+    EXPECT_EQ(counterValue("qac.cache.walks"), 1u);
+
+    reg.reset();
+    reg.setEnabled(prev);
+}
+
+TEST(Cache, ForeignWritesAreCaughtWithinAnEighthOfStores)
+{
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    CacheOptions opts;
+    opts.dir = scratchDir("foreign");
+    opts.max_bytes = 8000;
+    Cache cache(opts);
+    ASSERT_TRUE(cache.enabled());
+
+    const std::string blob(50, 'f');
+    for (int i = 0; i < 100; ++i)
+        ASSERT_TRUE(cache.store("own" + std::to_string(i), blob));
+    // Another writer pushes the directory over the cap unseen.
+    std::ofstream(opts.dir + "/foreign", std::ios::binary)
+        << std::string(5000, 'x');
+    ASSERT_GT(diskBytes(opts.dir), opts.max_bytes);
+
+    uint64_t stored = 0;
+    for (int i = 0; stored < opts.max_bytes / 8; ++i) {
+        ASSERT_TRUE(cache.store("new" + std::to_string(i), blob));
+        stored += blob.size();
+    }
+    uint64_t on_disk = diskBytes(opts.dir);
+    EXPECT_LE(on_disk, opts.max_bytes);
+    EXPECT_EQ(counterValue("qac.cache.bytes"), on_disk);
+
+    reg.reset();
+    reg.setEnabled(prev);
+}
+
+TEST(Cache, CachesOnOneDirectoryShareTheLedger)
+{
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    CacheOptions opts;
+    opts.dir = scratchDir("shared");
+    Cache first(opts);
+    ASSERT_TRUE(first.enabled());
+    ASSERT_TRUE(first.store("a", std::string(100, 's')));
+    EXPECT_EQ(counterValue("qac.cache.walks"), 1u);
+
+    // Another spelling of the same directory finds the same ledger.
+    opts.dir += "/.";
+    Cache second(opts);
+    ASSERT_TRUE(second.store("b", std::string(100, 's')));
+    EXPECT_EQ(counterValue("qac.cache.walks"), 1u);
+    EXPECT_EQ(counterValue("qac.cache.bytes"), 200u);
 
     reg.reset();
     reg.setEnabled(prev);
