@@ -15,16 +15,18 @@
 # embed-labelled suite covers the embedder's bounded shortest-path
 # searches: flat dist/pred rows, CSR adjacency, per-usage label FIFOs
 # kept across a limit raise, and the root scan's open-candidate list
-# (DESIGN.md §3).
+# (DESIGN.md §3).  The kernel-labelled suite covers the CSR kernel and
+# SA's read goldens, which run both the per-read and the packed path.
 set -eu
 
 cd "$(dirname "$0")/.."
 BUILD=build-asan
 
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
-cmake --build "$BUILD" -j --target stats_test cli_test packed_test \
-    dimacs_test sim_test edif_test sexpr_test embed_test qacc qma qsat
+cmake --build "$BUILD" -j4 --target stats_test cli_test packed_test \
+    kernel_test dimacs_test sim_test edif_test sexpr_test embed_test \
+    qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|sat|sim|edif|embed' --output-on-failure
+ctest -L 'stats|packed|kernel|sat|sim|edif|embed' --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

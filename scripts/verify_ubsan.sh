@@ -1,8 +1,9 @@
 #!/bin/sh
-# UndefinedBehaviorSanitizer verify configuration: proves the parsers
-# and the embedder free of signed overflow, bad shifts, out-of-range
-# conversions and misaligned access.  Builds the edif-, embed-,
-# artifact- and service-labelled test targets with
+# UndefinedBehaviorSanitizer verify configuration: proves the parsers,
+# the embedder and the packed SA kernel free of signed overflow, bad
+# shifts, out-of-range conversions and misaligned access.  Builds the
+# edif-, embed-, artifact-, service-, packed- and kernel-labelled test
+# targets with
 # -DQAC_SANITIZE=undefined and runs them with every UBSan report
 # fatal.  The edif suites cover the s-expression reader and the
 # streaming EDIF writer; the embed suite covers the embedder's bounded
@@ -11,7 +12,10 @@
 # artifact suite covers the .qo and cache-entry decoders fed
 # truncated and corrupt bytes; the service suite covers the QSVC wire
 # codec: frame and request round trips, and corrupt and truncated
-# frames.
+# frames.  The packed suite covers the multi-spin sweep engines, dense
+# with shifts, ctz and lane masks (DESIGN.md §13); the kernel suite
+# covers the CSR kernel and SA's read goldens on both sides of the
+# packed-path cut.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,8 +23,8 @@ BUILD=build-ubsan
 
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=undefined >/dev/null
 cmake --build "$BUILD" -j4 --target edif_test sexpr_test embed_test \
-    artifact_test service_test
+    artifact_test service_test packed_test kernel_test
 cd "$BUILD"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -L 'edif|embed|artifact|service' --output-on-failure
+    ctest -L 'edif|embed|artifact|service|packed|kernel' --output-on-failure
 echo "ubsan verify ok"

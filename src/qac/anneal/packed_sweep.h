@@ -76,6 +76,17 @@ struct LaneRngs
 };
 
 /**
+ * Packed passes that cover @p num_reads reads, kLanes to a pass.  In
+ * 64 bits: rounding up a read count near UINT32_MAX overflows 32.
+ */
+constexpr uint64_t
+packedPasses(uint64_t num_reads)
+{
+    return (num_reads + ising::PackedState::kLanes - 1) /
+           ising::PackedState::kLanes;
+}
+
+/**
  * One packed Metropolis sweep at inverse temperature @p beta with
  * draw threshold @p thresh (= kMaxExpArg / beta in the SA sampler).
  * Returns the OR of all candidate masks — bit l set means lane l

@@ -29,27 +29,12 @@
 
 namespace qac::anneal {
 
-/**
- * Multi-spin-coding policy for samplers with a packed kernel
- * (DESIGN.md §13).  By the determinism contract the packed and scalar
- * paths produce bitwise-identical SampleSets, so this knob — like
- * threads — is purely a performance choice and is excluded from
- * result provenance.
- */
-enum class PackedMode : uint8_t
-{
-    Auto = 0, ///< packed when the read count makes it worthwhile
-    On = 1,   ///< always packed
-    Off = 2,  ///< always the scalar per-read kernel
-};
-
 /** Knobs shared by every sampler's Params (via inheritance). */
 struct CommonParams
 {
     uint32_t num_reads = 100; ///< independent reads / restarts
     uint64_t seed = 1;        ///< base seed; read k uses streamAt(seed, k)
     uint32_t threads = 0;     ///< worker threads; 0 = hardware concurrency
-    PackedMode packed = PackedMode::Auto; ///< multi-spin coding policy
 };
 
 /** Abstract sampler: minimize an Ising model, report a SampleSet. */

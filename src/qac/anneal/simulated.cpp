@@ -28,6 +28,16 @@ namespace {
 constexpr double kMaxExpArg = 40.0;
 
 /**
+ * Read count from which SA runs the packed multi-spin kernel.  The
+ * two paths are bitwise-identical, so this is purely a cost choice.
+ * Measured on a 4-vCPU AVX-512 Xeon, one thread, random degree-6
+ * models: packed costs 1.2-5.8x the scalar loop at 1-7 reads (4.8x at
+ * n=90, 128 sweeps, 1 read) and 0.65-0.97x at 8.  The lane-major
+ * layout, not the sweep's lane scan, sets the small-read cost.
+ */
+constexpr uint32_t kPackedMinReads = 8;
+
+/**
  * Multi-spin-coded SA (DESIGN.md §13): reads run 64 to a packed pass,
  * and packed passes — not individual reads — are the work items the
  * thread pool schedules.  Lane l of pass p is read p*64+l and draws
@@ -45,7 +55,7 @@ samplePackedReads(const SimulatedAnnealer::Params &params,
     constexpr uint32_t kLanes = ising::PackedState::kLanes;
     const uint32_t n = static_cast<uint32_t>(kernel.numVars());
     const uint32_t sweeps = static_cast<uint32_t>(betas.size());
-    const uint32_t passes = (params.num_reads + kLanes - 1) / kLanes;
+    const uint64_t passes = packedPasses(params.num_reads);
     const PackedSweepFn sweep_fn = selectPackedSweep();
 
     std::vector<SampleSet> parts(passes);
@@ -209,13 +219,7 @@ SimulatedAnnealer::sample(const ising::IsingModel &model) const
         telemetry::Collector::global().beginRun("sa",
                                                 params_.num_reads);
 
-    // Multi-spin coding pays once enough reads share a packed pass;
-    // below that the scalar per-read kernel wins.  The two paths are
-    // bitwise-identical by contract, so this is purely a perf choice.
-    const bool use_packed =
-        params_.packed == PackedMode::On ||
-        (params_.packed == PackedMode::Auto && params_.num_reads >= 8);
-    if (use_packed) {
+    if (params_.num_reads >= kPackedMinReads) {
         const bool monotone = ratio >= 1.0;
         out = samplePackedReads(params_, kernel, betas, monotone, trun,
                                 flips);
@@ -224,10 +228,8 @@ SimulatedAnnealer::sample(const ising::IsingModel &model) const
             "sa", out, uint64_t{sweeps} * params_.num_reads, elapsed);
         detail::recordKernelStats(
             "sa", flips.load(std::memory_order_relaxed), elapsed);
-        detail::recordPackedStats(
-            ising::PackedState::kLanes,
-            (params_.num_reads + ising::PackedState::kLanes - 1) /
-                ising::PackedState::kLanes);
+        detail::recordPackedStats(ising::PackedState::kLanes,
+                                  packedPasses(params_.num_reads));
         return out;
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -62,7 +63,17 @@ hashHardware(util::Hasher &h, const chimera::HardwareGraph &hw)
     }
 }
 
-/** In-flight writes are "<name>.tmp.<pid>.<n>"; eviction skips them. */
+/**
+ * A walk deletes a temp file whose mtime is older than this: its
+ * writer crashed between write and rename.  Younger ones may still be
+ * in flight.
+ */
+constexpr int64_t kOrphanTempAgeS = 3600;
+
+/**
+ * In-flight writes are "<name>.tmp.<pid>.<n>"; eviction never counts
+ * them and deletes only orphans (kOrphanTempAgeS).
+ */
 bool
 isTempFile(const fs::path &p)
 {
@@ -209,13 +220,20 @@ Cache::evict()
     };
     std::vector<File> files;
     uint64_t total = 0;
+    const int64_t orphaned_before =
+        static_cast<int64_t>(::time(nullptr)) - kOrphanTempAgeS;
     for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        if (isTempFile(e.path()))
-            continue;
         // One stat per entry: type, size and mtime together.
         struct stat st;
         if (::stat(e.path().c_str(), &st) != 0 || !S_ISREG(st.st_mode))
             continue;
+        if (isTempFile(e.path())) {
+            if (st.st_mtim.tv_sec < orphaned_before) {
+                std::error_code rec;
+                fs::remove(e.path(), rec);
+            }
+            continue;
+        }
         File f{e.path(), static_cast<uint64_t>(st.st_size),
                {st.st_mtim.tv_sec, st.st_mtim.tv_nsec}};
         total += f.size;

@@ -11,7 +11,8 @@
  *
  * Robustness rules (a cache must never break a compile):
  *  - writes are atomic (a temp file "<name>.tmp.<pid>.<n>", unique
- *    per write, renamed in the same directory);
+ *    per write, renamed in the same directory); a walk deletes a temp
+ *    file more than an hour old, orphaned by a crashed writer;
  *  - the store is LRU size-capped.  A process-wide ledger per
  *    directory tracks its bytes, so a store walks the directory only
  *    when it is the first store into that directory in this process,

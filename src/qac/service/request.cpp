@@ -110,8 +110,6 @@ serializeRequest(const SampleRequest &req)
     w.u8(req.want_telemetry ? 1 : 0);
     w.u32(req.telemetry_stride);
     w.u32(req.telemetry_capacity);
-    // Appended after PR 8; absent in older payloads (parsed as Auto).
-    w.u8(static_cast<uint8_t>(req.common.packed));
     return w.take();
 }
 
@@ -142,15 +140,10 @@ parseRequest(std::string_view bytes, SampleRequest &out,
     req.want_telemetry = r.u8() != 0;
     req.telemetry_stride = r.u32();
     req.telemetry_capacity = r.u32();
-    if (r.remaining()) { // appended after PR 8; older payloads stop here
-        const uint8_t packed = r.u8();
-        if (packed > 2) {
-            if (error)
-                *error = "malformed request: packed mode";
-            return false;
-        }
-        req.common.packed = static_cast<anneal::PackedMode>(packed);
-    }
+    // Older clients append one byte that chose the SA kernel path;
+    // SA now picks its path from the read count, so it is ignored.
+    if (r.remaining() == 1)
+        r.u8();
     if (!r.ok() || r.remaining() != 0) {
         if (error)
             *error = "malformed request payload";

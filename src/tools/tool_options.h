@@ -217,20 +217,6 @@ parseParamFlag(service::SampleRequest &req, int argc, char **argv,
         req.request_id = parseUint("--request-id", need());
         return true;
     }
-    if (arg == "--packed" || arg.rfind("--packed=", 0) == 0) {
-        const std::string mode =
-            arg[8] == '=' ? arg.substr(9) : std::string(need());
-        if (mode == "auto")
-            req.common.packed = anneal::PackedMode::Auto;
-        else if (mode == "on")
-            req.common.packed = anneal::PackedMode::On;
-        else if (mode == "off")
-            req.common.packed = anneal::PackedMode::Off;
-        else
-            fatal("--packed: expected auto|on|off, got '%s'",
-                  mode.c_str());
-        return true;
-    }
     return false;
 }
 
@@ -239,11 +225,7 @@ paramsUsage()
 {
     return "  --reads <N> --sweeps <N> --seed <N>\n"
            "  --request-id <N>      replay id: derives an independent "
-           "seed stream (0 = plain seed)\n"
-           "  --packed auto|on|off  64-lane multi-spin SA kernel "
-           "(perf only; results are\n"
-           "                        bit-identical either way; auto = "
-           "packed when reads >= 8)\n";
+           "seed stream (0 = plain seed)\n";
 }
 
 inline const char *

@@ -11,6 +11,7 @@
 #include "qac/anneal/chainflip.h"
 #include "qac/anneal/descent.h"
 #include "qac/anneal/exact.h"
+#include "qac/anneal/packed_sweep.h"
 #include "qac/anneal/pathintegral.h"
 #include "qac/anneal/simulated.h"
 #include "qac/util/logging.h"
@@ -225,6 +226,17 @@ TEST(SimulatedAnnealing, BetaRangeSane)
     auto [b0, b1] = SimulatedAnnealer::defaultBetaRange(m);
     EXPECT_GT(b0, 0.0);
     EXPECT_GT(b1, b0);
+}
+
+TEST(SimulatedAnnealing, PackedPassCountDoesNotWrap)
+{
+    // 64 lanes to a pass; --reads accepts up to UINT32_MAX, where
+    // rounding up in 32 bits wrapped to zero passes.
+    EXPECT_EQ(packedPasses(0), 0u);
+    EXPECT_EQ(packedPasses(1), 1u);
+    EXPECT_EQ(packedPasses(64), 1u);
+    EXPECT_EQ(packedPasses(65), 2u);
+    EXPECT_EQ(packedPasses(UINT32_MAX), 67108864u);
 }
 
 TEST(PathIntegral, ReachesGroundOnRandomModels)

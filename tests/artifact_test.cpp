@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -650,6 +652,26 @@ TEST(Cache, CachesOnOneDirectoryShareTheLedger)
 
     reg.reset();
     reg.setEnabled(prev);
+}
+
+TEST(Cache, WalkDeletesOrphanedTempFilesOnly)
+{
+    CacheOptions opts;
+    opts.dir = scratchDir("orphans");
+    // A writer that crashed two hours ago, and one still writing.
+    const fs::path stale = fs::path(opts.dir) / "x.qoe.tmp.1.0";
+    const fs::path fresh = fs::path(opts.dir) / "y.qoe.tmp.2.0";
+    std::ofstream(stale) << "stale";
+    std::ofstream(fresh) << "fresh";
+    fs::last_write_time(stale, fs::file_time_type::clock::now() -
+                                   std::chrono::hours(2));
+
+    Cache cache(opts);
+    ASSERT_TRUE(cache.store("a", std::string(10, 'a')));
+    std::set<std::string> names;
+    for (const auto &e : fs::directory_iterator(opts.dir))
+        names.insert(e.path().filename().string());
+    EXPECT_EQ(names, (std::set<std::string>{"a", "y.qoe.tmp.2.0"}));
 }
 
 TEST(Cache, UnusableDirDisablesGracefully)

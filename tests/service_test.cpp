@@ -215,6 +215,31 @@ TEST(Wire, RequestCodecRoundTrip)
     EXPECT_FALSE(parseRequest("not a request", garbage));
 }
 
+TEST(Wire, OlderPayloadTrailingByteIsIgnored)
+{
+    // Older clients append one byte that chose the SA kernel path
+    // (0 auto, 1 on, 2 off); SA now picks its path from the read
+    // count, so the byte changes neither the request nor its result.
+    core::Executable exe(compileSource(kMult2, "mult2"));
+    const std::string payload = serializeRequest(mult2Request(13));
+    SampleRequest current;
+    ASSERT_TRUE(parseRequest(payload, current));
+    const std::string want = serializeResult(runLocal(exe, current));
+
+    for (char mode : {'\0', '\1', '\2'}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        SampleRequest older;
+        ASSERT_TRUE(parseRequest(payload + mode, older));
+        EXPECT_EQ(serializeRequest(older), payload);
+        EXPECT_EQ(serializeResult(runLocal(exe, older)), want);
+    }
+
+    std::string err;
+    SampleRequest two;
+    EXPECT_FALSE(parseRequest(payload + std::string(2, '\0'), two, &err));
+    EXPECT_EQ(err, "malformed request payload");
+}
+
 // ---- replay contract ----
 
 TEST(Replay, RequestIdZeroIsIdentity)
