@@ -17,6 +17,10 @@
 # kept across a limit raise, and the root scan's open-candidate list
 # (DESIGN.md §3).  The kernel-labelled suite covers the CSR kernel and
 # SA's read goldens, which run both the per-read and the packed path.
+# The artifact-labelled suite feeds the .qo and cache-entry decoders
+# truncated, corrupt and oversized input (a hardware graph's node count
+# is capped before it is allocated); the chimera-labelled suite covers
+# the hardware graph and the Chimera builder.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,8 +29,9 @@ BUILD=build-asan
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
 cmake --build "$BUILD" -j4 --target stats_test cli_test packed_test \
     kernel_test dimacs_test sim_test edif_test sexpr_test embed_test \
-    qacc qma qsat
+    artifact_test chimera_test qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|kernel|sat|sim|edif|embed' --output-on-failure
+ctest -L 'stats|packed|kernel|sat|sim|edif|embed|artifact|chimera' \
+    --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

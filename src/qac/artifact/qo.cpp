@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "qac/artifact/serial.h"
+#include "qac/chimera/chimera.h"
 #include "qac/edif/reader.h"
 #include "qac/util/hash.h"
 #include "qac/util/logging.h"
@@ -68,8 +69,7 @@ readModel(Reader &r)
         if (i == j || i >= n || j >= n) {
             // Structurally invalid; poison the reader so the caller
             // reports a malformed payload instead of crashing.
-            while (r.ok())
-                r.u64();
+            r.fail();
             break;
         }
         m.addQuadratic(i, j, v);
@@ -97,8 +97,7 @@ readStatement(Reader &r)
     qmasm::Statement s;
     uint8_t kind = r.u8();
     if (kind > static_cast<uint8_t>(qmasm::Statement::Kind::Comment)) {
-        while (r.ok())
-            r.u64();
+        r.fail();
         return s;
     }
     s.kind = static_cast<qmasm::Statement::Kind>(kind);
@@ -235,8 +234,12 @@ writeHardware(Writer &w, const chimera::HardwareGraph &hw)
 chimera::HardwareGraph
 readHardware(Reader &r)
 {
+    // Bound the node count before allocating a graph for it: no
+    // Chimera size QAC builds has more than kMaxChimeraQubits qubits.
     uint64_t nodes = r.u64();
-    if (!r.ok() || nodes > (uint64_t{1} << 32))
+    if (nodes > chimera::kMaxChimeraQubits)
+        r.fail();
+    if (!r.ok())
         return chimera::HardwareGraph();
     chimera::HardwareGraph hw(static_cast<size_t>(nodes));
     uint64_t inactive = r.u64();
@@ -274,8 +277,7 @@ readChains(Reader &r)
     for (uint64_t i = 0; i < n && r.ok(); ++i) {
         uint64_t len = r.u64();
         if (len > r.remaining() / 4) {
-            while (r.ok())
-                r.u64();
+            r.fail();
             break;
         }
         std::vector<uint32_t> chain;
@@ -355,8 +357,7 @@ readDecode(Reader &r)
         cl.hard = r.u8() != 0;
         uint64_t nlits = r.u64();
         if (nlits > r.remaining() / 4) {
-            while (r.ok())
-                r.u64();
+            r.fail();
             break;
         }
         cl.lits.reserve(static_cast<size_t>(nlits));

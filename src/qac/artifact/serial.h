@@ -73,6 +73,10 @@ class Reader
     bool ok() const { return ok_; }
     size_t remaining() const { return data_.size() - pos_; }
 
+    /** Set the fail flag for structurally invalid input, so the caller
+     *  reports a malformed payload instead of acting on it. */
+    void fail() { ok_ = false; }
+
   private:
     bool take(void *out, size_t n);
 

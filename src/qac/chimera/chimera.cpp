@@ -32,6 +32,8 @@ HardwareGraph
 chimeraGraph(uint32_t m)
 {
     HardwareGraph g(static_cast<size_t>(m) * m * 8);
+    // Four intra-cell couplers plus at most two to the neighbouring cells.
+    g.reserveDegree(6);
     for (uint32_t r = 0; r < m; ++r) {
         for (uint32_t cidx = 0; cidx < m; ++cidx) {
             // Intra-cell K_{4,4}.

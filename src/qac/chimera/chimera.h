@@ -29,6 +29,16 @@ struct ChimeraCoord
 };
 
 /**
+ * The largest Chimera size QAC builds or loads: C64, 32768 qubits, 16x
+ * the paper's C16.  core::compile rejects a larger --chimera-size, and
+ * a .qo whose hardware graph has more than kMaxChimeraQubits qubits
+ * fails to load, before either allocates the graph.
+ */
+constexpr uint32_t kMaxChimeraSize = 64;
+constexpr uint32_t kMaxChimeraQubits =
+    8 * kMaxChimeraSize * kMaxChimeraSize;
+
+/**
  * Build a C_m Chimera graph (m x m unit cells, 8m^2 qubits).
  * C16 is the D-Wave 2000Q of the paper.
  */

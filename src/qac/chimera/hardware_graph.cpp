@@ -21,6 +21,13 @@ HardwareGraph::numActiveNodes() const
 }
 
 void
+HardwareGraph::reserveDegree(size_t degree)
+{
+    for (auto &nbrs : adj_)
+        nbrs.reserve(degree);
+}
+
+void
 HardwareGraph::addEdge(uint32_t u, uint32_t v)
 {
     if (u >= adj_.size() || v >= adj_.size())

@@ -24,6 +24,10 @@ class HardwareGraph
     size_t numActiveNodes() const;
     size_t numEdges() const { return num_edges_; }
 
+    /** Reserve room for @p degree couplers on every qubit, so a builder
+     *  that knows its degree bound never regrows a neighbour list. */
+    void reserveDegree(size_t degree);
+
     /** Add an undirected coupler. Parallel edges are ignored. */
     void addEdge(uint32_t u, uint32_t v);
 

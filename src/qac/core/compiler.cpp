@@ -12,6 +12,11 @@ CompileResult
 compile(const std::string &source, const CompileOptions &opts)
 {
     stats::ScopedTimer total_timer("compile.total");
+    if (opts.target == Target::Chimera &&
+        opts.chimera_size > chimera::kMaxChimeraSize)
+        fatal("chimera_size %u exceeds the largest supported Chimera "
+              "graph, C%u",
+              opts.chimera_size, chimera::kMaxChimeraSize);
 
     CompileResult res;
     res.stats.source_lines = countLines(source);

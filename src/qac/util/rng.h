@@ -45,6 +45,29 @@ class Rng
         return result;
     }
 
+    /**
+     * Advance the state by @p n steps, exactly as @p n calls to next()
+     * (or uniform()) would, on a register copy of the state.
+     */
+    void
+    discard(uint64_t n)
+    {
+        uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+        for (; n != 0; --n) {
+            const uint64_t t = s1 << 17;
+            s2 ^= s0;
+            s3 ^= s1;
+            s1 ^= s2;
+            s0 ^= s3;
+            s2 ^= t;
+            s3 = rotl_(s3, 45);
+        }
+        s_[0] = s0;
+        s_[1] = s1;
+        s_[2] = s2;
+        s_[3] = s3;
+    }
+
     /** UniformRandomBitGenerator interface (usable with std::shuffle). */
     uint64_t operator()() { return next(); }
     static constexpr uint64_t min() { return 0; }

@@ -35,6 +35,7 @@
 
 #include "qac/anneal/sampler.h"
 #include "qac/artifact/qo.h"
+#include "qac/chimera/chimera.h"
 #include "qac/core/compiler.h"
 #include "qac/core/frontend.h"
 #include "qac/core/program.h"
@@ -82,7 +83,7 @@ usage(const char *argv0)
         "unique)\n"
         "  --unroll <N>          unroll sequential logic for N steps\n"
         "  --target chimera      minor-embed onto a C16 Chimera graph\n"
-        "  --chimera-size <M>    use a C_M graph (default 16)\n"
+        "  --chimera-size <M>    use a C_M graph, M <= 64 (default 16)\n"
         "  -o, --emit-qo <file>  write a compiled .qo object "
         "(run with: qma run <file>)\n"
         "  --emit-edif <file>    write the EDIF netlist\n"
@@ -133,7 +134,7 @@ parseArgs(int argc, char **argv)
             args.chimera = (t == "chimera");
         } else if (a == "--chimera-size")
             args.chimera_size = static_cast<uint32_t>(tools::parseUint(
-                "--chimera-size", need(i), UINT32_MAX));
+                "--chimera-size", need(i), chimera::kMaxChimeraSize));
         else if (a == "-o" || a == "--emit-qo")
             args.emit_qo = need(i);
         else if (a == "--emit-edif")

@@ -30,6 +30,7 @@
 
 #include "qac/anneal/sampler.h"
 #include "qac/artifact/qo.h"
+#include "qac/chimera/chimera.h"
 #include "qac/core/compiler.h"
 #include "qac/core/program.h"
 #include "qac/exec/exec.h"
@@ -60,7 +61,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s <instance.cnf|instance.wcnf> [options]\n"
         "  --target chimera      minor-embed onto a C16 Chimera graph\n"
-        "  --chimera-size <M>    use a C_M graph (default 16)\n"
+        "  --chimera-size <M>    use a C_M graph, M <= 64 (default 16)\n"
         "  --physical            sample the embedded physical model\n"
         "  -o, --emit-qo <file>  write a compiled .qo object "
         "(run with: qma run <file>)\n"
@@ -94,7 +95,7 @@ parseArgs(int argc, char **argv)
             args.chimera = (t == "chimera");
         } else if (a == "--chimera-size")
             args.chimera_size = static_cast<uint32_t>(tools::parseUint(
-                "--chimera-size", need(i), UINT32_MAX));
+                "--chimera-size", need(i), chimera::kMaxChimeraSize));
         else if (a == "-o" || a == "--emit-qo")
             args.emit_qo = need(i);
         else if (a == "--physical")

@@ -394,6 +394,33 @@ TEST(Qo, HugeClauseLengthIsMalformedNotAnAllocation)
     }
 }
 
+// The hardware graph's node count is read before anything else of the
+// graph: a count past the largest Chimera size must fail the load
+// instead of allocating a graph of that size (2^32 nodes: ~100 GiB).
+TEST(Qo, HugeHardwareNodeCountIsMalformedNotAnAllocation)
+{
+    auto compiled = compileMult(false);
+    chimera::HardwareGraph hw = chimera::chimeraGraph(1);
+    for (uint32_t q : {5u, 6u, 7u})
+        hw.deactivate(q);
+    compiled.hardware = hw;
+    // The inactive-qubit list follows the node count.
+    std::string marker = u32Bytes({3, 0, 5, 6, 7});
+    for (uint64_t nodes :
+         {uint64_t{chimera::kMaxChimeraQubits} + 1, uint64_t{1} << 32}) {
+        std::string err;
+        EXPECT_FALSE(deserializeQo(patchedQo(compiled, marker, nodes), &err))
+            << nodes;
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+    }
+    std::string err;
+    auto at_cap = deserializeQo(
+        patchedQo(compiled, marker, chimera::kMaxChimeraQubits), &err);
+    ASSERT_TRUE(at_cap) << err;
+    ASSERT_TRUE(at_cap->hardware);
+    EXPECT_EQ(at_cap->hardware->numNodes(), chimera::kMaxChimeraQubits);
+}
+
 // EDIF stored in a .qo is parsed on load; nesting deep enough to
 // overflow the parser's stack must fail the load, not crash it.
 TEST(Qo, DeeplyNestedEdifFailsTheLoad)

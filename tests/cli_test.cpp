@@ -91,6 +91,20 @@ TEST(Qacc, BadUsageFails)
     (void)out2;
 }
 
+// --chimera-size is capped at C64 (chimera::kMaxChimeraSize): a larger
+// size is a usage error, not an allocation of 8 M^2 qubits.
+TEST(Qacc, ChimeraSizeAboveTheCapFails)
+{
+    std::string v = writeTemp("cli_cap.v", kMult);
+    for (const char *m : {"65", "4294967295"}) {
+        auto [code, out] = run(std::string(QACC_PATH) + " " + v +
+                               " --target chimera --chimera-size " + m);
+        EXPECT_EQ(code, 2) << out;
+        EXPECT_NE(out.find("--chimera-size: value"), std::string::npos)
+            << out;
+    }
+}
+
 TEST(Qacc, StatsReportAndTrace)
 {
     std::string v = writeTemp("cli_mult3.v", kMult);
@@ -328,6 +342,17 @@ TEST(Qsat, BadUsageAndMissingFileFail)
     auto [c2, o2] = run(std::string(QSAT_PATH) + " /nonexistent.cnf");
     EXPECT_EQ(c2, 2);
     EXPECT_NE(o2.find("qsat:"), std::string::npos) << o2;
+}
+
+TEST(Qsat, ChimeraSizeAboveTheCapFails)
+{
+    std::string f = writeTemp("cli_cap.cnf", kCnf);
+    auto [code, out] = run(std::string(QSAT_PATH) + " " + f +
+                           " --target chimera --chimera-size 65");
+    EXPECT_EQ(code, 2) << out;
+    EXPECT_NE(out.find("--chimera-size: value 65 out of range (max 64)"),
+              std::string::npos)
+        << out;
 }
 
 TEST(Qacc, DimacsAutoDetectedFromExtension)

@@ -90,6 +90,19 @@ TEST(Compile, ChimeraTargetEmbeds)
         r.embedded->physical.withinRange(ising::CoefficientRange{}));
 }
 
+// A Chimera size past chimera::kMaxChimeraSize is a compile error, not
+// an allocation of 8 m^2 adjacency lists.
+TEST(Compile, ChimeraSizeAboveTheCapThrows)
+{
+    CompileOptions co;
+    co.verilogOpts().top = "mux_add_sub";
+    co.target = Target::Chimera;
+    co.chimera_size = chimera::kMaxChimeraSize + 1;
+    EXPECT_THROW(compile(kMux, co), FatalError);
+    co.chimera_size = UINT32_MAX;
+    EXPECT_THROW(compile(kMux, co), FatalError);
+}
+
 TEST(Pins, DirectiveParsing)
 {
     auto r = compileMux();

@@ -180,8 +180,17 @@ counterValue(const std::string &path)
     return 0;
 }
 
-// The bounded searches publish their effort once per placement, and
-// only while the registry is on.
+stats::Distribution::Summary
+distribution(const std::string &path)
+{
+    for (const auto &m : stats::Registry::global().snapshot())
+        if (m.path == path && m.kind == stats::MetricKind::Distribution)
+            return m.dist;
+    return {};
+}
+
+// Each try publishes its search effort and its rounds once it ends,
+// and only while the registry is on.
 TEST(FindEmbedding, CountsSearchEffortOnlyWhileEnabled)
 {
     auto &reg = stats::Registry::global();
@@ -203,6 +212,16 @@ TEST(FindEmbedding, CountsSearchEffortOnlyWhileEnabled)
     for (const auto &m : reg.snapshot())
         raises = raises || m.path == "embed.minorminer.limit_raises";
     EXPECT_TRUE(raises);
+    // One sample of overfull qubits per completed round, one round
+    // count per try.
+    const stats::Distribution::Summary rounds =
+        distribution("embed.minorminer.rounds");
+    EXPECT_EQ(rounds.count, 1u);
+    EXPECT_GE(rounds.mean, 1.0);
+    const stats::Distribution::Summary overfull =
+        distribution("embed.minorminer.overfull");
+    EXPECT_EQ(static_cast<double>(overfull.count), rounds.mean);
+    EXPECT_EQ(overfull.min, 0.0); // the last round is overlap-free
 
     reg.reset();
     reg.setEnabled(prev);
@@ -369,6 +388,37 @@ TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, EmbedGolden, ::testing::Values(1u, 8u));
+
+// The root choice skips a placement's far qubits (settled by no search)
+// whenever none of them can win, and visits them one by one otherwise.
+// Both paths must run on the golden inputs, or the digests above would
+// not guard the one that does not.
+TEST(FindEmbedding, GoldensVisitFarQubitsOnSomePlacements)
+{
+    auto &reg = stats::Registry::global();
+    core::CompileResult res =
+        core::compile(goldenSource("circsat"), goldenOptions("circsat"));
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    for (const auto &t : res.assembled.model.quadraticTerms())
+        edges.emplace_back(t.i, t.j);
+    HardwareGraph hw = chimera::chimeraGraph(16);
+
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        EmbedParams p;
+        p.seed = seed;
+        p.threads = 1;
+        ASSERT_TRUE(
+            findEmbedding(edges, res.assembled.model.numVars(), hw, p));
+    }
+    const uint64_t far = counterValue("embed.minorminer.far_visits");
+    const uint64_t placements = counterValue("embed.minorminer.placements");
+    EXPECT_GT(far, 0u);
+    EXPECT_LT(far, placements);
+    reg.reset();
+    reg.setEnabled(prev);
+}
 
 // ------------------------------------------------------------ embedModel
 

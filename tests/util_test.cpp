@@ -219,6 +219,21 @@ TEST(Rng, ForkIndependence)
     EXPECT_NE(a.next(), b.next());
 }
 
+// The embedder skips the noise draws of far root candidates with
+// discard(n): it must land exactly where n draws would.
+TEST(Rng, DiscardMatchesThatManyDraws)
+{
+    for (uint64_t n : {0u, 1u, 63u, 4096u}) {
+        Rng stepped = Rng::streamAt(7, n);
+        Rng skipped = stepped;
+        for (uint64_t i = 0; i < n; ++i)
+            stepped.next();
+        skipped.discard(n);
+        EXPECT_EQ(skipped.state(), stepped.state()) << n;
+        EXPECT_EQ(skipped.next(), stepped.next()) << n;
+    }
+}
+
 // ---------------------------------------------------------------- simplex
 
 TEST(Simplex, SimpleMaximization)
