@@ -78,16 +78,13 @@ printValidFractionSweep()
                 "sweeps", "valid frac", "found 11x13");
     auto circsat = makeCircsat();
     auto factor = makeFactor();
-    const std::vector<uint32_t> sweep_lengths =
-        benchstats::smoke() ? std::vector<uint32_t>{64, 256}
-                            : std::vector<uint32_t>{64, 256, 1024};
-    for (uint32_t sweeps : sweep_lengths) {
+    for (uint32_t sweeps : {64u, 256u, 1024u}) {
         for (const char *solver : {"sa", "sqa"}) {
             const char *sname =
                 std::string(solver) == "sa" ? "SA" : "SQA";
             core::Executable::RunOptions ro;
             ro.solver = solver;
-            ro.common.num_reads = benchstats::smoke() ? 40 : 200;
+            ro.common.num_reads = 200;
             ro.sweeps = sweeps;
             ro.common.seed = 11;
             auto rc = circsat.run(ro);

@@ -54,16 +54,12 @@ printDecompositionQuality()
     std::printf("%6s %14s %14s %14s\n", "vars", "SA best",
                 "qbsolv best", "winner");
     Rng rng(31);
-    const bool smoke = benchstats::smoke();
-    const std::vector<size_t> sizes =
-        smoke ? std::vector<size_t>{40, 80}
-              : std::vector<size_t>{40, 80, 160, 320};
-    for (size_t n : sizes) {
+    for (size_t n : {40, 80, 160, 320}) {
         ising::IsingModel m = randomSparseModel(rng, n);
         anneal::SamplerOpts so;
-        so.common.num_reads = smoke ? 4 : 20;
+        so.common.num_reads = 20;
         so.common.seed = 3;
-        so.sweeps = smoke ? 64 : 512;
+        so.sweeps = 512;
         so.greedy_polish = true;
         double sa =
             anneal::makeSampler("sa", so)->sample(m).best().energy;
@@ -71,8 +67,8 @@ printDecompositionQuality()
         qo.common.seed = 3;
         qo.extra["qbsolv.subproblem_size"] = 24;
         qo.extra["qbsolv.outer_iterations"] =
-            static_cast<double>(smoke ? 4 : 8 * n / 24 + 16);
-        qo.extra["qbsolv.restarts"] = smoke ? 2.0 : 4.0;
+            static_cast<double>(8 * n / 24 + 16);
+        qo.extra["qbsolv.restarts"] = 4;
         double qb =
             anneal::makeSampler("qbsolv", qo)->sample(m).best().energy;
         std::printf("%6zu %14.3f %14.3f %14s\n", n, sa, qb,
@@ -106,8 +102,8 @@ printHardwareDispatch()
             anneal::QbsolvSolver::Params qp;
             static_cast<anneal::CommonParams &>(qp) = o.common;
             qp.subproblem_size = 12;
-            qp.outer_iterations = benchstats::smoke() ? 2 : 8;
-            qp.restarts = benchstats::smoke() ? 1 : 2;
+            qp.outer_iterations = 8;
+            qp.restarts = 2;
             auto solver = std::make_unique<anneal::QbsolvSolver>(qp);
             solver->setSubSolver([&](const ising::IsingModel &sub) {
                 ++dispatched;

@@ -39,17 +39,12 @@ printQubitToll()
                 "time-to-space trading ---\n");
     std::printf("%6s %8s %10s %10s %16s\n", "steps", "gates",
                 "log vars", "log terms", "C16 phys qubits");
-    const std::vector<size_t> depths =
-        benchstats::smoke() ? std::vector<size_t>{1, 2}
-                            : std::vector<size_t>{1, 2, 3, 4, 6, 8};
-    for (size_t steps : depths) {
+    for (size_t steps : {1, 2, 3, 4, 6, 8}) {
         core::CompileOptions opts;
         opts.verilogOpts().top = "count";
         opts.verilogOpts().unroll_steps = steps;
-        // Smoke skips the C16 embeddings: the qubit-count
-        // column is the slow part and the compile path is
-        // what the sanity pass needs to cover.
-        bool embed = !benchstats::smoke() && steps <= 2;
+        // Deeper unrolls are past what the embedder places on C16.
+        bool embed = steps <= 2;
         if (embed)
             opts.target = core::Target::Chimera;
         auto r = core::compile(kCount, opts);

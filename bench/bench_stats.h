@@ -5,9 +5,9 @@
  * Each benchmark main() opens a benchstats::Scope("<name>"); on exit
  * it writes BENCH_<name>.json (the qac-stats-v1 schema from
  * stats/report.h) into the working directory, capturing every metric
- * the instrumented pipeline recorded during the run.  This gives the
- * perf trajectory a stable artifact to diff from PR to PR alongside
- * the human-readable text output.
+ * the instrumented pipeline recorded during the run.  The printed
+ * tables are the human-readable half: EXPERIMENTS.md holds the paper
+ * benches' stdout verbatim, checked by scripts/experiments.py.
  */
 
 #ifndef QAC_BENCH_BENCH_STATS_H
@@ -25,9 +25,9 @@ namespace qac::benchstats {
 
 /**
  * True when QAC_BENCH_SMOKE is set to a non-empty, non-"0" value.
- * scripts/bench_smoke.sh exports it so every bench shrinks its
- * workload to a seconds-scale sanity pass that still exercises the
- * full code path and emits a parseable BENCH_<name>.json.
+ * scripts/bench_smoke.sh exports it.  Only the throughput benches
+ * (bench_sim, bench_ising_kernel) shrink their workload for it; the
+ * paper benches run one size, the one EXPERIMENTS.md reports.
  */
 inline bool
 smoke()
@@ -49,8 +49,7 @@ class Scope
     {
         std::string path = "BENCH_" + name_ + ".json";
         // Provenance block: version + git describe + host make a
-        // bench JSON self-describing when diffed against a baseline
-        // from another checkout (scripts/bench_compare.py).
+        // bench JSON self-describing when read apart from its run.
         telemetry::Manifest manifest =
             telemetry::Manifest::make("bench_" + name_);
         if (smoke())

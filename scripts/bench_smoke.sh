@@ -1,14 +1,16 @@
 #!/bin/sh
-# Smoke-run every bench binary and validate its JSON artifact.
+# Run every bench binary once, validate its JSON artifact, and check
+# EXPERIMENTS.md against what the benches just printed.
 #
-# Each bench shrinks its workload to a seconds-scale configuration when
-# QAC_BENCH_SMOKE=1 (see bench/bench_stats.h) while still exercising
-# the full code path and emitting BENCH_<name>.json.  This script runs
-# every bench_* binary that way in a scratch directory, checks the exit
-# status, and checks that the emitted JSON parses.  When baselines are
-# committed under bench/baselines/, the fresh artifacts are also diffed
-# against them via bench_compare.py --check (informational only: a
-# structural drift prints a DIFF report but does not fail the smoke).
+# This script runs every bench_* binary in a scratch directory with
+# QAC_BENCH_SMOKE=1, which only the throughput benches (bench_sim,
+# bench_ising_kernel) read to shrink their workload; the paper benches
+# run the one size EXPERIMENTS.md reports.  It checks each exit status
+# and that the emitted BENCH_<name>.json parses, and prints each
+# bench's wall seconds.  Then scripts/experiments.py renders
+# EXPERIMENTS.md from the captured stdout: any block that differs
+# outside its "(host-dependent)" sections fails the smoke, with the
+# bench's name and a unified diff of the block.
 #
 # When a tools directory and an example Verilog file are also given,
 # the qacc→qma telemetry path is smoked too: compile the example to a
@@ -53,15 +55,17 @@ for bench in "$bench_dir"/bench_*; do
     [ -x "$bench" ] || continue
     found=$((found + 1))
     name=$(basename "$bench")
+    start=$(date +%s%N)
     # --benchmark_filter matches nothing: the google-benchmark cases
     # are the timing half, and timing is not what a smoke pass checks.
     if ! QAC_BENCH_SMOKE=1 "$bench" --benchmark_filter='NONE' \
-            >"$name.out" 2>&1; then
+            >"$name.out" 2>"$name.err"; then
         echo "FAIL $name: exited nonzero; output:" >&2
-        cat "$name.out" >&2
+        cat "$name.out" "$name.err" >&2
         failed=1
         continue
     fi
+    ds=$(( ($(date +%s%N) - start) / 100000000 ))
     json="BENCH_${name#bench_}.json"
     if [ ! -f "$json" ]; then
         echo "FAIL $name: did not write $json" >&2
@@ -74,7 +78,7 @@ for bench in "$bench_dir"/bench_*; do
         failed=1
         continue
     fi
-    echo "ok   $name ($json)"
+    echo "ok   $name ($json, $((ds / 10)).$((ds % 10)) s)"
 done
 
 if [ "$found" -eq 0 ]; then
@@ -88,9 +92,6 @@ fi
 # actually reports the scalar engine — a fallback that silently keeps
 # the vector path would make the env knob a no-op.
 if [ -x "$bench_dir/bench_ising_kernel" ]; then
-    # Subdirectory so the rerun's JSON artifact does not clobber the
-    # vector-engine one diffed against the baselines below.
-    mkdir -p scalar_fallback && cd scalar_fallback || exit 2
     if ! QAC_BENCH_SMOKE=1 QAC_NO_AVX2=1 "$bench_dir/bench_ising_kernel" \
             --benchmark_filter='NONE' >scalar_fallback.out 2>&1; then
         echo "FAIL bench_ising_kernel: QAC_NO_AVX2=1 rerun exited" \
@@ -105,15 +106,16 @@ if [ -x "$bench_dir/bench_ising_kernel" ]; then
     else
         echo "ok   bench_ising_kernel (QAC_NO_AVX2=1 scalar fallback)"
     fi
-    cd "$scratch" || exit 2
 fi
 
-# Informational drift report against committed baselines.  Structural
-# regressions are caught loudly here but do not fail the smoke: the
-# baselines pin trajectories, and updating them is a deliberate act.
-if [ -d "$script_dir/../bench/baselines" ]; then
-    python3 "$script_dir/bench_compare.py" --check BENCH_*.json ||
-        echo "warn: bench_compare.py exited nonzero (ignored)" >&2
+# ------------------------------------------------ EXPERIMENTS.md
+doc=$(cd "$script_dir/.." && pwd)/EXPERIMENTS.md
+if python3 "$script_dir/experiments.py" . "$doc" >/dev/null; then
+    echo "ok   EXPERIMENTS.md (every bench block matches)"
+else
+    echo "FAIL EXPERIMENTS.md: stale bench blocks (diff above); re-render" \
+         "with scripts/experiments.py" >&2
+    failed=1
 fi
 
 # ------------------------------------------------ telemetry smoke

@@ -273,7 +273,6 @@ embeddingCacheKey(const ising::IsingModel &logical,
     h.u32(params.tries);
     h.u32(params.rounds);
     h.f64(params.overuse_base);
-    h.u8(params.minimize_qubits ? 1 : 0);
     return h.digest();
 }
 

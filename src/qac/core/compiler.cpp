@@ -131,8 +131,7 @@ compile(const std::string &source, const CompileOptions &opts)
         {
             stats::ScopedTimer t("compile.embed_model");
             res.embedded = embed::embedModel(res.assembled.model,
-                                             *res.embedding, hw,
-                                             opts.embed_model);
+                                             *res.embedding, hw);
         }
         res.hardware = std::move(hw);
         res.stats.physical_qubits = res.embedded->numPhysicalQubits();

@@ -102,7 +102,6 @@ struct CompileOptions
     uint32_t chimera_size = 16;      ///< C_m; 16 = D-Wave 2000Q
     double qubit_dropout = 0.0;      ///< random inactive-qubit fraction
     embed::EmbedParams embed;
-    embed::EmbedModelOptions embed_model;
 
     /** Worker threads for parallel stages (embedding tries);
      *  0 = hardware concurrency.  Results are thread-count invariant. */

@@ -150,9 +150,8 @@ Executable::run(const RunOptions &opts) const
             std::vector<std::pair<uint32_t, uint32_t>> edges;
             for (const auto &t : to_solve->quadraticTerms())
                 edges.emplace_back(t.i, t.j);
-            embed::EmbedParams ep = opts.embed_params;
-            if (ep.threads == 0)
-                ep.threads = opts.common.threads;
+            embed::EmbedParams ep;
+            ep.threads = opts.common.threads;
             auto emb = embed::findEmbedding(edges, to_solve->numVars(),
                                             *compiled_.hardware, ep);
             if (!emb)

@@ -40,18 +40,13 @@ class Executable
     const std::vector<PinSpec> &pins() const { return pins_; }
 
     /**
-     * Execution options: a service::SampleRequest (the single home of
-     * the solver/reads/sweeps/seed/threads knobs — shared verbatim
-     * with the qmad wire protocol) plus local-only knobs that never
-     * travel.  Pins may come from the request's directives and/or the
-     * pinPort/pinBit/pinDirective state on the Executable; run() uses
-     * the union.
+     * Execution options: a service::SampleRequest, the single home of
+     * the solver/reads/sweeps/seed/threads knobs, shared verbatim with
+     * the qmad wire protocol.  Pins may come from the request's
+     * directives and/or the pinPort/pinBit/pinDirective state on the
+     * Executable; run() uses the union.
      */
-    struct RunOptions : service::SampleRequest
-    {
-        /** Embedder parameters for re-embedding a reduced model. */
-        embed::EmbedParams embed_params;
-    };
+    using RunOptions = service::SampleRequest;
 
     /** One distinct returned assignment. */
     struct Candidate

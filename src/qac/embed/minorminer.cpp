@@ -824,7 +824,7 @@ class Embedder
                     ++stale;
                 }
                 // A couple of non-improving feasible rounds: stop.
-                if (!params_.minimize_qubits || stale >= 2)
+                if (stale >= 2)
                     break;
             }
         }

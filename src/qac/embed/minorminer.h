@@ -33,8 +33,6 @@ struct EmbedParams
      *  finite and >= 1: findEmbedding throws FatalError on anything
      *  else. */
     double overuse_base = 0.0;
-    /** Keep improving chain sizes after the first feasible round. */
-    bool minimize_qubits = true;
     /** Workers for concurrent tries; 0 = hardware concurrency.  The
      *  lowest-indexed successful try always wins, so the embedding is
      *  identical for any thread count. */

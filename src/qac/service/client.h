@@ -7,7 +7,7 @@
  * receive() expose the pipelined form (N sends, then N receives —
  * replies arrive in completion order and carry the request id, so a
  * pipelining caller matches them up itself).  `qma client` and the
- * bench_service load generator both sit on this class, which is what
+ * perfbench service probe both sit on this class, which is what
  * keeps the remote path byte-identical to `qma run`: the client only
  * moves a SampleRequest/SampleResult pair that local execution uses
  * unchanged.

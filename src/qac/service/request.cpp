@@ -44,9 +44,7 @@ SampleResult::validCandidates() const
 SampleResult
 runLocal(const core::Executable &exe, const SampleRequest &req)
 {
-    core::Executable::RunOptions ro;
-    static_cast<SampleRequest &>(ro) = req;
-    core::Executable::RunResult rr = exe.run(ro);
+    core::Executable::RunResult rr = exe.run(req);
 
     SampleResult res;
     res.request_id = req.request_id;

@@ -6,7 +6,7 @@
  *   qmad --socket /tmp/q.sock design.qo other.qo --queue-depth 64
  *
  * Serves compiled .qo objects over a unix socket: clients (`qma
- * client`, bench_service, anything speaking service/wire.h) address
+ * client`, perfbench, anything speaking service/wire.h) address
  * an object by digest, attach pins and solver parameters, and get
  * back the same bytes `qma run` would print locally.  This is the
  * compile-once/pin-many economics of Section 5.2 as a resident

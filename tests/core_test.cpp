@@ -9,6 +9,8 @@
 
 #include "qac/core/compiler.h"
 #include "qac/core/program.h"
+#include "qac/service/request.h"
+#include "qac/stats/registry.h"
 #include "qac/util/logging.h"
 #include "qac/util/rng.h"
 
@@ -28,6 +30,25 @@ module mult2 (A, B, C);
   input [1:0] A, B;
   output [3:0] C;
   assign C = A * B;
+endmodule
+)";
+
+const char *kCircsat = R"(
+module circsat (a, b, c, y);
+  input a, b, c;
+  output y;
+  wire [1:10] x;
+  assign x[1] = a;
+  assign x[2] = b;
+  assign x[3] = c;
+  assign x[4] = ~x[3];
+  assign x[5] = x[1] | x[2];
+  assign x[6] = ~x[4];
+  assign x[7] = x[1] & x[2] & x[4];
+  assign x[8] = x[5] | x[6];
+  assign x[9] = x[6] | x[7];
+  assign x[10] = x[8] & x[9] & x[7];
+  assign y = x[10];
 endmodule
 )";
 
@@ -264,6 +285,53 @@ TEST(Executable, PhysicalRunOnChimera)
     auto rr = ex.run(ro);
     ASSERT_TRUE(rr.hasValid());
     EXPECT_EQ(ex.portValue(rr.bestValid(), "c"), 0u); // 1-1
+}
+
+uint64_t
+counterValue(const std::string &path)
+{
+    for (const auto &m : stats::Registry::global().snapshot())
+        if (m.path == path && m.kind == stats::MetricKind::Counter)
+            return m.count;
+    return 0;
+}
+
+TEST(Executable, ReducedPhysicalRunReembeds)
+{
+    // Physical run with reduction on: roof duality fixes variables,
+    // so run() embeds the reduced model afresh before sampling.
+    CompileOptions co;
+    co.verilogOpts().top = "circsat";
+    co.target = Target::Chimera;
+    co.chimera_size = 4;
+    co.cache.enabled = false;
+    Executable ex(compile(kCircsat, co));
+    ex.pinDirective("y := true");
+    service::SampleRequest req;
+    req.common.num_reads = 60;
+    req.sweeps = 256;
+    req.use_physical = true;
+    req.reduce = true;
+
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    req.common.threads = 1;
+    auto rr = ex.run(req);
+    EXPECT_GT(counterValue("embed.minorminer.tries"), 0u);
+    reg.setEnabled(prev);
+
+    EXPECT_GT(rr.vars_fixed, 0u);
+    ASSERT_TRUE(rr.hasValid());
+    const auto &c = rr.bestValid();
+    EXPECT_EQ(c.values.at("a"), true);
+    EXPECT_EQ(c.values.at("b"), true);
+    EXPECT_EQ(c.values.at("c"), false);
+
+    const std::string one =
+        service::serializeResult(service::runLocal(ex, req));
+    req.common.threads = 4;
+    EXPECT_EQ(service::serializeResult(service::runLocal(ex, req)), one);
 }
 
 TEST(Executable, SequentialBackwardRun)
