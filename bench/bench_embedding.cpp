@@ -101,6 +101,7 @@ printChainStrengthAblation()
     core::CompileOptions opts;
     opts.verilogOpts().top = "australia";
     opts.target = core::Target::Chimera;
+    opts.cache.enabled = false;
     auto compiled = core::compile(kAustralia, opts);
     const auto &logical = compiled.assembled.model;
     const auto &emb = *compiled.embedding;

@@ -123,6 +123,7 @@ BM_CompileFig2ToChimera(benchmark::State &state)
     opts.verilogOpts().top = "mux_add_sub";
     opts.target = core::Target::Chimera;
     opts.chimera_size = 4;
+    opts.cache.enabled = false;
     for (auto _ : state)
         benchmark::DoNotOptimize(core::compile(kFig2, opts));
 }

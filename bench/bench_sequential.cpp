@@ -43,6 +43,7 @@ printQubitToll()
         core::CompileOptions opts;
         opts.verilogOpts().top = "count";
         opts.verilogOpts().unroll_steps = steps;
+        opts.cache.enabled = false;
         // Deeper unrolls are past what the embedder places on C16.
         bool embed = steps <= 2;
         if (embed)

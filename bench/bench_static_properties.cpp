@@ -98,9 +98,7 @@ printStaticProperties()
     std::printf("%-28s %10zu %10s\n", "logical terms",
                 r.stats.logical_terms, "312");
 
-    // 25 randomized embeddings (the paper: "369 +/- 26").  One worker:
-    // the embedding is the same at any thread count, and concurrent
-    // tries past the first success are wasted CPU.
+    // 25 randomized embeddings (the paper: "369 +/- 26").
     auto hw = chimera::chimeraGraph(16);
     std::vector<std::pair<uint32_t, uint32_t>> edges;
     for (const auto &t : r.assembled.model.quadraticTerms())
@@ -111,7 +109,6 @@ printStaticProperties()
     for (int trial = 0; trial < trials; ++trial) {
         embed::EmbedParams p;
         p.seed = 1000 + trial;
-        p.threads = 1;
         auto emb = embed::findEmbedding(
             edges, r.assembled.model.numVars(), hw, p);
         if (!emb)
@@ -142,7 +139,6 @@ printStaticProperties()
         hedges.emplace_back(t.i, t.j);
     embed::EmbedParams hp;
     hp.seed = 7;
-    hp.threads = 1;
     auto hemb = embed::findEmbedding(hedges, hand.numVars(), hw, hp);
     std::printf("\nhand-coded unary encoding (Dahl/Lucas):\n");
     std::printf("%-28s %10zu %10s\n", "logical variables",

@@ -110,8 +110,6 @@ class Cache
 /**
  * Content address for one minor-embedding problem: canonical logical
  * model + hardware graph + embedder parameters + format version.
- * Thread count is deliberately excluded — embeddings are
- * thread-count invariant.
  */
 uint64_t embeddingCacheKey(const ising::IsingModel &logical,
                            const chimera::HardwareGraph &hw,

@@ -66,10 +66,6 @@ compile(const std::string &source, const CompileOptions &opts)
             chimera::chimeraGraph(opts.chimera_size);
         chimera::applyDropout(hw, opts.qubit_dropout, opts.embed.seed);
 
-        embed::EmbedParams embed_params = opts.embed;
-        if (embed_params.threads == 0)
-            embed_params.threads = opts.threads;
-
         artifact::Cache cache(opts.cache);
         auto edgesOf = [](const ising::IsingModel &m) {
             std::vector<std::pair<uint32_t, uint32_t>> edges;
@@ -85,8 +81,8 @@ compile(const std::string &source, const CompileOptions &opts)
                 const std::vector<std::pair<uint32_t, uint32_t>> &edges)
             -> std::optional<embed::Embedding> {
             if (cache.enabled()) {
-                uint64_t key = artifact::embeddingCacheKey(model, hw,
-                                                           embed_params);
+                uint64_t key =
+                    artifact::embeddingCacheKey(model, hw, opts.embed);
                 auto probe =
                     artifact::lookupEmbedding(cache, key, edges, hw);
                 if (probe.hit) {
@@ -96,13 +92,13 @@ compile(const std::string &source, const CompileOptions &opts)
                 }
                 stats::ScopedTimer t("compile.embed");
                 auto emb = embed::findEmbedding(edges, model.numVars(),
-                                                hw, embed_params);
+                                                hw, opts.embed);
                 artifact::storeEmbedding(cache, key, emb);
                 return emb;
             }
             stats::ScopedTimer t("compile.embed");
             return embed::findEmbedding(edges, model.numVars(), hw,
-                                        embed_params);
+                                        opts.embed);
         };
 
         auto edges = edgesOf(res.assembled.model);

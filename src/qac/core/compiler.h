@@ -103,8 +103,8 @@ struct CompileOptions
     double qubit_dropout = 0.0;      ///< random inactive-qubit fraction
     embed::EmbedParams embed;
 
-    /** Worker threads for parallel stages (embedding tries);
-     *  0 = hardware concurrency.  Results are thread-count invariant. */
+    /** Read by nothing: every compile stage is single-threaded.  Kept
+     *  only so the perfbench harness, which sets it, still builds. */
     uint32_t threads = 0;
 
     /**

@@ -6,7 +6,6 @@
 #include <limits>
 #include <queue>
 
-#include "qac/exec/exec.h"
 #include "qac/stats/registry.h"
 #include "qac/util/logging.h"
 #include "qac/util/rng.h"
@@ -82,13 +81,10 @@ class Embedder
         }
     }
 
-    /** One independent restart; abandons work once @p token reports a
-     *  lower-indexed try has already succeeded. */
+    /** One independent restart. */
     std::optional<Embedding>
-    attempt(Rng rng, const exec::CancelToken &token, size_t index)
+    attempt(Rng rng)
     {
-        token_ = &token;
-        index_ = index;
         stats::count("embed.minorminer.tries");
         effort_ = {};
         std::optional<Embedding> emb = tryOnce(rng);
@@ -148,8 +144,6 @@ class Embedder
     std::vector<uint32_t> dirty_;
     uint32_t round_ = 0;
     double noise_ = 0.2;
-    const exec::CancelToken *token_ = nullptr;
-    size_t index_ = 0;
 
     std::vector<uint8_t> active_;
     std::vector<uint32_t> adj_start_; ///< CSR row starts into adj_
@@ -750,10 +744,6 @@ class Embedder
         uint32_t no_progress = 0;
 
         for (round_ = 0; round_ < params_.rounds; ++round_) {
-            // A lower-indexed try already embedded: this result could
-            // never win, so stop paying for it.
-            if (token_ && token_->cancelled(index_))
-                return std::nullopt;
             noise_ = 0.2 / (1.0 + round_);
 
             // Early rounds re-place everything.  Later rounds repair
@@ -850,24 +840,13 @@ findEmbedding(const std::vector<std::pair<uint32_t, uint32_t>>
         return Embedding{};
     stats::ScopedTimer timer("embed.minorminer.time");
 
-    // Independent restarts race across workers; each try already runs
-    // its own qubit-minimization rounds, so take the first success
-    // rather than paying for every restart.  The lowest-indexed
-    // success wins — exactly the try the sequential loop would have
-    // returned — so the embedding is thread-count invariant.
+    // Each try already runs its own qubit-minimization rounds, so take
+    // the first success rather than paying for every restart.
     const uint32_t tries = std::max<uint32_t>(1, params.tries);
-    std::vector<std::optional<Embedding>> results(tries);
-    size_t winner = exec::firstSuccess(
-        tries, params.threads,
-        [&](size_t t, const exec::CancelToken &token) {
-            Embedder e(logical_edges, num_logical, hw, params);
-            results[t] =
-                e.attempt(Rng::streamAt(params.seed, t), token, t);
-            return results[t].has_value();
-        });
+    Embedder e(logical_edges, num_logical, hw, params);
     std::optional<Embedding> emb;
-    if (winner != exec::CancelToken::kNone)
-        emb = std::move(results[winner]);
+    for (uint32_t t = 0; t < tries && !emb; ++t)
+        emb = e.attempt(Rng::streamAt(params.seed, t));
     if (emb) {
         std::string err;
         if (!verifyEmbedding(*emb, logical_edges, hw, &err))

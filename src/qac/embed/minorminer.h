@@ -11,7 +11,9 @@
  * neighbor's chain, over qubits weighted exponentially in their current
  * overuse, selects a root qubit minimizing the total connection cost;
  * the union of the shortest paths becomes the new chain.  Rounds repeat
- * until no qubit is shared by two chains.
+ * until no qubit is shared by two chains.  Restarts run one after
+ * another, each from its own stream Rng::streamAt(seed, try), and the
+ * first that embeds is returned.
  */
 
 #ifndef QAC_EMBED_MINORMINER_H
@@ -26,17 +28,13 @@ namespace qac::embed {
 struct EmbedParams
 {
     uint64_t seed = 1;
-    uint32_t tries = 8;       ///< independent restarts
+    uint32_t tries = 8;       ///< restarts, run in order until one succeeds
     uint32_t rounds = 48;     ///< improvement rounds per try
     /** Qubit weight = base^overuse; 0 = auto (|V|, so one overlap
      *  always outweighs any overlap-free detour).  Otherwise it must be
      *  finite and >= 1: findEmbedding throws FatalError on anything
      *  else. */
     double overuse_base = 0.0;
-    /** Workers for concurrent tries; 0 = hardware concurrency.  The
-     *  lowest-indexed successful try always wins, so the embedding is
-     *  identical for any thread count. */
-    uint32_t threads = 0;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "qac/exec/exec.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "qac/stats/registry.h"
 #include "qac/stats/trace.h"
@@ -199,22 +200,6 @@ parallelFor(size_t count, uint32_t threads,
     stats::count("exec.steal", stolen.load(std::memory_order_relaxed));
     if (st.err)
         std::rethrow_exception(st.err);
-}
-
-size_t
-firstSuccess(size_t count, uint32_t threads,
-             const std::function<bool(size_t, const CancelToken &)> &fn)
-{
-    CancelToken token;
-    parallelFor(count, threads, [&](size_t i) {
-        if (token.cancelled(i)) {
-            stats::count("exec.cancelled");
-            return;
-        }
-        if (fn(i, token))
-            token.declareSuccess(i);
-    });
-    return token.winner();
 }
 
 TaskGroup::~TaskGroup()

@@ -3,19 +3,15 @@
  * Deterministic parallel execution layer.
  *
  * Every embarrassingly parallel loop in QAC — independent anneal reads,
- * qbsolv restarts, exact-solver enumeration shards, embedder tries —
- * runs through this scheduler.  The contract is *bitwise determinism*:
- * results must be identical regardless of thread count.  The layer
- * supplies the mechanics that make that tractable:
+ * qbsolv restarts, exact-solver enumeration shards — runs through this
+ * scheduler.  The contract is *bitwise determinism*: results must be
+ * identical regardless of thread count.  The layer supplies the
+ * mechanics that make that tractable:
  *
  *  - parallelFor(count, threads, fn): dynamic (work-stealing-style)
  *    index distribution over a fixed global pool.  Callers write
  *    results into per-index slots and reduce in index order, so the
  *    schedule cannot leak into the output.
- *  - CancelToken / firstSuccess: speculative tries with first-success
- *    cancellation.  The winner is always the *lowest* successful index
- *    — the same answer a sequential first-success loop produces — so
- *    cancellation saves work without costing determinism.
  *  - TaskGroup: futures-style fork/join for irregular task sets.
  *
  * Threads knobs across QAC share one convention: 0 = hardware
@@ -25,15 +21,13 @@
  *
  * Observability: when the qac::stats registry is enabled the layer
  * records exec.tasks (indices executed), exec.steal (indices executed
- * by pool workers rather than the submitting thread), exec.cancelled
- * (speculative tasks skipped after a success), and per-drive busy time
- * under exec.worker_time.
+ * by pool workers rather than the submitting thread), and per-drive
+ * busy time under exec.worker_time.
  */
 
 #ifndef QAC_EXEC_EXEC_H
 #define QAC_EXEC_EXEC_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -102,52 +96,6 @@ class ThreadPool
  */
 void parallelFor(size_t count, uint32_t threads,
                  const std::function<void(size_t)> &fn);
-
-/**
- * Cooperative first-success cancellation: speculative tasks poll
- * cancelled(index) and abandon work that can no longer win.  The
- * winner is the lowest index that declared success, matching a
- * sequential first-success scan.
- */
-class CancelToken
-{
-  public:
-    static constexpr size_t kNone = SIZE_MAX;
-
-    /** True when a task with a lower index already succeeded. */
-    bool
-    cancelled(size_t index) const
-    {
-        return winner_.load(std::memory_order_acquire) < index;
-    }
-
-    /** Record a success at @p index (keeps the minimum). */
-    void
-    declareSuccess(size_t index)
-    {
-        size_t cur = winner_.load(std::memory_order_acquire);
-        while (index < cur &&
-               !winner_.compare_exchange_weak(cur, index,
-                                              std::memory_order_acq_rel))
-        {}
-    }
-
-    /** Lowest successful index so far, or kNone. */
-    size_t winner() const { return winner_.load(std::memory_order_acquire); }
-
-  private:
-    std::atomic<size_t> winner_{kNone};
-};
-
-/**
- * Run up to @p count speculative tries; fn returns true on success and
- * should poll the token to abandon doomed work early.  Returns the
- * lowest successful index (CancelToken::kNone when every try failed) —
- * deterministic regardless of thread count.
- */
-size_t firstSuccess(size_t count, uint32_t threads,
-                    const std::function<bool(size_t, const CancelToken &)>
-                        &fn);
 
 /**
  * Futures-style fork/join over the global pool.  spawn() may run the

@@ -238,7 +238,6 @@ runQacc(Args &args, const char *argv0)
         if (args.unroll != 0)
             fatal("--unroll only applies to the verilog frontend");
     }
-    opts.threads = args.common.threads;
     opts.cache.enabled = !args.common.no_cache;
     opts.cache.dir = args.common.cache_dir;
     if (args.chimera) {

@@ -129,7 +129,6 @@ runQsat(Args &args)
 
     core::CompileOptions opts;
     opts.dimacsOpts(); // select the dimacs frontend
-    opts.threads = args.common.threads;
     opts.cache.enabled = !args.common.no_cache;
     opts.cache.dir = args.common.cache_dir;
     if (args.chimera) {

@@ -10,8 +10,9 @@
  *   --telemetry=FILE     write per-read solver telemetry JSONL to FILE
  *   --telemetry-stride N record every Nth sweep (default 1)
  *   --telemetry-capacity N  per-read ring-buffer size (default 256)
- *   --threads N          worker threads (0 = hardware concurrency);
- *                        results are identical for any value
+ *   --threads N          sampler worker threads (0 = hardware
+ *                        concurrency); compiles are single-threaded,
+ *                        and results are identical for any value
  *   --cache-dir DIR      artifact-cache root (default $QAC_CACHE_DIR
  *                        or ~/.cache/qac)
  *   --no-cache           disable the artifact cache for this run
@@ -240,8 +241,9 @@ commonUsage()
            "1)\n"
            "  --telemetry-capacity N  sweep points kept per read "
            "(default 256)\n"
-           "  --threads N           worker threads (0 = hardware "
-           "concurrency)\n"
+           "  --threads N           sampler worker threads (0 = hardware "
+           "concurrency);\n"
+           "                        compiles are single-threaded\n"
            "  --cache-dir DIR       artifact-cache root (default "
            "$QAC_CACHE_DIR or ~/.cache/qac)\n"
            "  --no-cache            disable the artifact cache\n"

@@ -792,11 +792,6 @@ TEST(Cache, KeyIsSensitiveToEveryInput)
 
     auto smaller = chimera::chimeraGraph(1);
     EXPECT_NE(embeddingCacheKey(model, smaller, params), base);
-
-    // Thread count is execution policy, not content: key unchanged.
-    embed::EmbedParams threaded = params;
-    threaded.threads = 7;
-    EXPECT_EQ(embeddingCacheKey(model, hw, threaded), base);
 }
 
 // ------------------------------------------------- compiler integration

@@ -534,22 +534,32 @@ TEST(Artifact, CacheCountersInStatsJson)
 TEST(Telemetry, JsonlThreadInvariantWithChainsAndAnalysis)
 {
     // The acceptance scenario: compile a multiplier onto Chimera,
-    // run it physically with telemetry on, and require the JSONL to
-    // be byte-identical between --threads 1 and --threads 8 while
-    // carrying every record kind (manifest, read, chains, analysis).
+    // run it physically with telemetry on, and require the .qo and the
+    // JSONL to be byte-identical between --threads 1 and --threads 8,
+    // the JSONL carrying every record kind (manifest, read, chains,
+    // analysis).
     std::string v = writeTemp("cli_mult_tel.v", kMult);
-    std::string qo = std::string(::testing::TempDir()) + "cli_tel.qo";
-    auto [ccode, cout_] =
-        run(std::string(QACC_PATH) + " " + v +
-            " --top mult --target chimera --chimera-size 8 "
-            "--no-cache -o " + qo);
-    ASSERT_EQ(ccode, 0) << cout_;
+    auto compile = [&](int threads) {
+        std::string qo = std::string(::testing::TempDir()) + "cli_tel_t" +
+                         std::to_string(threads) + ".qo";
+        auto [code, out] =
+            run(std::string(QACC_PATH) + " " + v +
+                " --top mult --target chimera --chimera-size 8 "
+                "--no-cache --threads " + std::to_string(threads) +
+                " -o " + qo);
+        EXPECT_EQ(code, 0) << out;
+        return qo;
+    };
+    const std::string qo = compile(1);
+    const std::string qo8 = compile(8);
 
     auto slurp = [](const std::string &path) {
-        std::ifstream f(path);
+        std::ifstream f(path, std::ios::binary);
         return std::string((std::istreambuf_iterator<char>(f)),
                            std::istreambuf_iterator<char>());
     };
+    EXPECT_FALSE(slurp(qo).empty());
+    EXPECT_EQ(slurp(qo), slurp(qo8));
     auto sample = [&](int threads, const std::string &tag) {
         std::string tel = std::string(::testing::TempDir()) +
             "cli_tel_" + tag + ".jsonl";

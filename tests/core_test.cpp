@@ -103,6 +103,7 @@ TEST(Compile, ChimeraTargetEmbeds)
     co.verilogOpts().top = "mux_add_sub";
     co.target = Target::Chimera;
     co.chimera_size = 4;
+    co.cache.enabled = false;
     auto r = compile(kMux, co);
     ASSERT_TRUE(r.embedded.has_value());
     EXPECT_GE(r.stats.physical_qubits, r.stats.logical_vars);
@@ -273,6 +274,7 @@ TEST(Executable, PhysicalRunOnChimera)
     co.verilogOpts().top = "mux_add_sub";
     co.target = Target::Chimera;
     co.chimera_size = 4;
+    co.cache.enabled = false;
     Executable ex(compile(kMux, co));
     ex.pinPort("s", 0);
     ex.pinPort("a", 1);

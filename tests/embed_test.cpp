@@ -196,7 +196,6 @@ TEST(FindEmbedding, CountsSearchEffortOnlyWhileEnabled)
     auto &reg = stats::Registry::global();
     HardwareGraph hw = chimera::chimeraGraph(16);
     EmbedParams p;
-    p.threads = 1;
     p.tries = 1;
 
     bool prev = reg.setEnabled(false);
@@ -320,15 +319,11 @@ goldenRows()
     return out;
 }
 
-class EmbedGolden : public ::testing::TestWithParam<uint32_t>
-{};
-
 // The chains findEmbedding returned, seed for seed, before its
 // shortest-path search was rewritten and then bounded
-// (tests/golden/embeddings.txt), at one thread and at eight.
-TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
+// (tests/golden/embeddings.txt).
+TEST(EmbedGolden, ChainsMatchRecordedDigests)
 {
-    const uint32_t threads = GetParam();
     struct Logical
     {
         std::vector<std::pair<uint32_t, uint32_t>> edges;
@@ -344,7 +339,6 @@ TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
             co.target = core::Target::Chimera;
             co.chimera_size = 16;
             co.embed.seed = g.seed;
-            co.threads = threads;
             core::CompileResult res =
                 core::compile(goldenSource(g.program), co);
             EXPECT_EQ(artifact::qoDigestHex(artifact::serializeQo(res)),
@@ -365,7 +359,6 @@ TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
         HardwareGraph hw = chimera::chimeraGraph(g.variant == "c3" ? 3 : 16);
         EmbedParams p;
         p.seed = g.seed;
-        p.threads = threads;
         if (g.variant == "dropout")
             chimera::applyDropout(hw, 0.08, 7);
         else if (g.variant == "drop50")
@@ -387,8 +380,6 @@ TEST_P(EmbedGolden, ChainsMatchRecordedDigests)
     EXPECT_EQ(checked, 168u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, EmbedGolden, ::testing::Values(1u, 8u));
-
 // The root choice skips a placement's far qubits (settled by no search)
 // whenever none of them can win, and visits them one by one otherwise.
 // Both paths must run on the golden inputs, or the digests above would
@@ -408,7 +399,6 @@ TEST(FindEmbedding, GoldensVisitFarQubitsOnSomePlacements)
     for (uint64_t seed = 1; seed <= 40; ++seed) {
         EmbedParams p;
         p.seed = seed;
-        p.threads = 1;
         ASSERT_TRUE(
             findEmbedding(edges, res.assembled.model.numVars(), hw, p));
     }
@@ -416,6 +406,47 @@ TEST(FindEmbedding, GoldensVisitFarQubitsOnSomePlacements)
     const uint64_t placements = counterValue("embed.minorminer.placements");
     EXPECT_GT(far, 0u);
     EXPECT_LT(far, placements);
+    reg.reset();
+    reg.setEnabled(prev);
+}
+
+// Tries run in order and stop at the first success.  Running every try
+// would return the same chains, so only the try count tells them apart.
+TEST(FindEmbedding, TriesStopAtTheFirstSuccess)
+{
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+
+    // The golden row mult c16 seed 15: tries 0-3 fail, try 4 embeds.
+    core::CompileResult res =
+        core::compile(goldenSource("mult"), goldenOptions("mult"));
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    for (const auto &t : res.assembled.model.quadraticTerms())
+        edges.emplace_back(t.i, t.j);
+    HardwareGraph hw = chimera::chimeraGraph(16);
+    EmbedParams p;
+    p.seed = 15;
+    p.tries = 4;
+    reg.reset();
+    EXPECT_FALSE(findEmbedding(edges, res.assembled.model.numVars(), hw, p));
+    EXPECT_EQ(counterValue("embed.minorminer.tries"), 4u);
+    p.tries = 8;
+    reg.reset();
+    EXPECT_TRUE(findEmbedding(edges, res.assembled.model.numVars(), hw, p));
+    EXPECT_EQ(counterValue("embed.minorminer.tries"), 5u);
+
+    // K4 never fits a 4-qubit path: every try runs.
+    HardwareGraph path(4);
+    path.addEdge(0, 1);
+    path.addEdge(1, 2);
+    path.addEdge(2, 3);
+    EmbedParams q;
+    q.tries = 3;
+    q.rounds = 8;
+    reg.reset();
+    EXPECT_FALSE(findEmbedding(cliqueEdges(4), 4, path, q));
+    EXPECT_EQ(counterValue("embed.minorminer.tries"), q.tries);
+
     reg.reset();
     reg.setEnabled(prev);
 }

@@ -1,11 +1,11 @@
 /**
  * @file
  * The determinism contract of the parallel execution layer: for a
- * fixed seed every sampler, the embedder, and the exact enumerator
- * must produce bitwise-identical results regardless of thread count.
- * Also unit-tests the exec primitives (parallelFor, firstSuccess,
- * CancelToken, TaskGroup), counter-based RNG streams, and the
- * SampleSet merge/finalize algebra the reduction relies on.
+ * fixed seed every sampler and the exact enumerator must produce
+ * bitwise-identical results regardless of thread count.  Also
+ * unit-tests the exec primitives (parallelFor, TaskGroup),
+ * counter-based RNG streams, and the SampleSet merge/finalize algebra
+ * the reduction relies on.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +22,6 @@
 #include "qac/anneal/exact.h"
 #include "qac/anneal/sampler.h"
 #include "qac/anneal/sampleset.h"
-#include "qac/chimera/chimera.h"
-#include "qac/embed/minorminer.h"
 #include "qac/exec/exec.h"
 #include "qac/ising/model.h"
 #include "qac/util/rng.h"
@@ -90,42 +88,6 @@ TEST(Exec, ParallelForRethrowsLowestIndex)
         }
         // Every index still ran (sequential all-indices semantics).
         EXPECT_EQ(ran.load(), 100);
-    }
-}
-
-TEST(Exec, CancelTokenKeepsMinimum)
-{
-    exec::CancelToken token;
-    EXPECT_EQ(token.winner(), exec::CancelToken::kNone);
-    EXPECT_FALSE(token.cancelled(0));
-    token.declareSuccess(7);
-    token.declareSuccess(3);
-    token.declareSuccess(9);
-    EXPECT_EQ(token.winner(), 3u);
-    EXPECT_FALSE(token.cancelled(3));
-    EXPECT_FALSE(token.cancelled(2));
-    EXPECT_TRUE(token.cancelled(4));
-}
-
-TEST(Exec, FirstSuccessReturnsLowestWinner)
-{
-    // Indices 5, 9, 14 succeed; the winner must always be 5.
-    for (uint32_t threads : {1u, 2u, 8u}) {
-        size_t w = exec::firstSuccess(
-            20, threads, [](size_t i, const exec::CancelToken &) {
-                return i == 5 || i == 9 || i == 14;
-            });
-        EXPECT_EQ(w, 5u) << "threads=" << threads;
-    }
-}
-
-TEST(Exec, FirstSuccessAllFail)
-{
-    for (uint32_t threads : {1u, 8u}) {
-        size_t w = exec::firstSuccess(
-            16, threads,
-            [](size_t, const exec::CancelToken &) { return false; });
-        EXPECT_EQ(w, exec::CancelToken::kNone);
     }
 }
 
@@ -415,40 +377,6 @@ TEST(ExactParallel, MatchesSmallUnshardedCase)
         brute = std::min(brute, m.energy(spins));
     }
     EXPECT_NEAR(res.min_energy, brute, 1e-9);
-}
-
-// ------------------------------------------------ embedding invariance
-
-TEST(EmbedParallel, EmbeddingThreadInvariant)
-{
-    // A 4x4 logical grid onto a C3 Chimera.
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    auto id = [](uint32_t r, uint32_t c) { return r * 4 + c; };
-    for (uint32_t r = 0; r < 4; ++r)
-        for (uint32_t c = 0; c < 4; ++c) {
-            if (c + 1 < 4)
-                edges.emplace_back(id(r, c), id(r, c + 1));
-            if (r + 1 < 4)
-                edges.emplace_back(id(r, c), id(r + 1, c));
-        }
-    auto hw = chimera::chimeraGraph(3);
-
-    embed::EmbedParams p;
-    p.seed = 11;
-    p.tries = 8;
-
-    p.threads = 1;
-    auto e1 = embed::findEmbedding(edges, 16, hw, p);
-    p.threads = 8;
-    auto e8 = embed::findEmbedding(edges, 16, hw, p);
-    p.threads = 3;
-    auto e3 = embed::findEmbedding(edges, 16, hw, p);
-
-    ASSERT_TRUE(e1.has_value());
-    ASSERT_TRUE(e8.has_value());
-    ASSERT_TRUE(e3.has_value());
-    EXPECT_EQ(e1->chains, e8->chains);
-    EXPECT_EQ(e1->chains, e3->chains);
 }
 
 } // namespace
