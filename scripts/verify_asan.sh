@@ -19,8 +19,12 @@
 # SA's read goldens, which run both the per-read and the packed path.
 # The artifact-labelled suite feeds the .qo and cache-entry decoders
 # truncated, corrupt and oversized input (a hardware graph's node count
-# is capped before it is allocated); the chimera-labelled suite covers
-# the hardware graph and the Chimera builder.
+# is capped before it is allocated, and its edge list must be sorted,
+# duplicate-free and of Chimera degree); the chimera-labelled suite
+# covers the hardware graph and the Chimera builder.  The
+# service-labelled suite covers the QSVC frame and request decoders
+# (the request's reserved telemetry fields are read and skipped) and
+# the loopback server/client round trip.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,9 +33,9 @@ BUILD=build-asan
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
 cmake --build "$BUILD" -j4 --target stats_test cli_test packed_test \
     kernel_test dimacs_test sim_test edif_test sexpr_test embed_test \
-    artifact_test chimera_test qacc qma qsat
+    artifact_test chimera_test service_test qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|kernel|sat|sim|edif|embed|artifact|chimera' \
+ctest -L 'stats|packed|kernel|sat|sim|edif|embed|artifact|chimera|service' \
     --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

@@ -32,11 +32,7 @@ ChainFlipAnnealer::sample(const ising::IsingModel &model) const
 
     const ising::CompiledModel kernel(model);
 
-    auto [b0, b1] = SimulatedAnnealer::defaultBetaRange(kernel);
-    if (params_.beta_initial > 0)
-        b0 = params_.beta_initial;
-    if (params_.beta_final > 0)
-        b1 = params_.beta_final;
+    const auto [b0, b1] = SimulatedAnnealer::defaultBetaRange(kernel);
 
     // Precompute each chain's internal couplings; flipping the whole
     // chain leaves them unchanged, so the summed single-flip deltas

@@ -29,8 +29,6 @@ class ChainFlipAnnealer : public Sampler
     struct Params : CommonParams
     {
         uint32_t sweeps = 256;
-        double beta_initial = 0.0; ///< 0 = auto
-        double beta_final = 0.0;   ///< 0 = auto
         bool greedy_polish = true;
     };
 

@@ -13,6 +13,9 @@ namespace qac::anneal {
 
 namespace {
 
+/** Energies this close count as the same ground level. */
+constexpr double kTol = 1e-9;
+
 /** Spin state after Gray-code step k: bit i of k^(k>>1) set => +1. */
 ising::SpinVector
 grayState(uint64_t k, size_t n)
@@ -146,14 +149,13 @@ ExactSolver::solve(const ising::IsingModel &model) const
             double energy = kernel.energy(spins);
 
             auto consider = [&](double e) {
-                if (e < r.min_energy - params_.tol) {
+                if (e < r.min_energy - kTol) {
                     r.min_energy = e;
                     r.ground_states.clear();
                     r.ground_states.push_back(spins);
                     r.truncated = false;
-                } else if (std::abs(e - r.min_energy) <= params_.tol) {
-                    if (r.ground_states.size() <
-                        params_.max_ground_states)
+                } else if (std::abs(e - r.min_energy) <= kTol) {
+                    if (r.ground_states.size() < kMaxGroundStates)
                         r.ground_states.push_back(spins);
                     else
                         r.truncated = true;
@@ -176,19 +178,18 @@ ExactSolver::solve(const ising::IsingModel &model) const
     res.min_energy = std::numeric_limits<double>::infinity();
     for (const ShardResult &part : parts) {
         bool contributes = false;
-        if (part.min_energy < res.min_energy - params_.tol) {
+        if (part.min_energy < res.min_energy - kTol) {
             res.min_energy = part.min_energy;
             res.ground_states.clear();
             res.truncated = false;
             contributes = true;
-        } else if (std::abs(part.min_energy - res.min_energy) <=
-                   params_.tol) {
+        } else if (std::abs(part.min_energy - res.min_energy) <= kTol) {
             contributes = true;
         }
         if (!contributes)
             continue;
         for (const auto &gs : part.ground_states) {
-            if (res.ground_states.size() < params_.max_ground_states)
+            if (res.ground_states.size() < kMaxGroundStates)
                 res.ground_states.push_back(gs);
             else
                 res.truncated = true;
@@ -219,12 +220,11 @@ ExactSolver::solveComposed(
         res.min_energy += part.min_energy;
         if (part.truncated)
             res.truncated = true;
-        const size_t cap = params_.max_ground_states;
         std::vector<ising::SpinVector> combined;
         bool full = false;
         for (size_t a = 0; a < res.ground_states.size() && !full; ++a) {
             for (const auto &gs : part.ground_states) {
-                if (combined.size() == cap) {
+                if (combined.size() == kMaxGroundStates) {
                     res.truncated = true;
                     full = true;
                     break;

@@ -15,10 +15,13 @@
 
 namespace qac::anneal {
 
+/** Most ground states an ExactResult lists; the rest set truncated. */
+constexpr size_t kMaxGroundStates = 4096;
+
 struct ExactResult
 {
     double min_energy = 0.0;
-    /** All minimizing assignments (capped at max_ground_states). */
+    /** All minimizing assignments (capped at kMaxGroundStates). */
     std::vector<ising::SpinVector> ground_states;
     bool truncated = false;
 };
@@ -29,8 +32,6 @@ class ExactSolver : public Sampler
     struct Params
     {
         size_t max_vars = 28;
-        size_t max_ground_states = 4096;
-        double tol = 1e-9;
         /** Enumeration-shard workers; 0 = hardware concurrency.  Shard
          *  boundaries are a fixed function of problem size, so the
          *  result is identical for any thread count. */

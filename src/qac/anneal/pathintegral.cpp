@@ -16,6 +16,13 @@
 
 namespace qac::anneal {
 
+namespace {
+
+constexpr double kBeta = 8.0;         ///< total inverse temperature
+constexpr double kGammaFinal = 0.01;  ///< transverse field at the end
+
+} // namespace
+
 SampleSet
 PathIntegralAnnealer::sample(const ising::IsingModel &model) const
 {
@@ -30,15 +37,13 @@ PathIntegralAnnealer::sample(const ising::IsingModel &model) const
     const uint64_t t0 = stats::Trace::nowNs();
 
     const uint32_t slices = std::max<uint32_t>(2, params_.trotter_slices);
-    const double beta_slice = params_.beta / slices;
+    const double beta_slice = kBeta / slices;
 
     double max_scale = std::max(model.maxAbsLinear(),
                                 model.maxAbsQuadratic());
     if (max_scale <= 0)
         max_scale = 1.0;
-    double g0 = params_.gamma_initial > 0 ? params_.gamma_initial
-                                          : 3.0 * max_scale;
-    double g1 = std::max(params_.gamma_final, 1e-6);
+    const double g0 = 3.0 * max_scale; // transverse field at the start
 
     const ising::CompiledModel kernel(model);
     const uint32_t sweeps = std::max<uint32_t>(2, params_.sweeps);
@@ -70,7 +75,7 @@ PathIntegralAnnealer::sample(const ising::IsingModel &model) const
         for (uint32_t t = 0; t < sweeps; ++t) {
             double frac = static_cast<double>(t) / (sweeps - 1);
             // Linear Gamma ramp in log space (smooth schedule).
-            double gamma = g0 * std::pow(g1 / g0, frac);
+            double gamma = g0 * std::pow(kGammaFinal / g0, frac);
             double x = std::tanh(gamma * beta_slice);
             // Ferromagnetic inter-slice coupling; grows as Gamma -> 0.
             double jperp =

@@ -8,7 +8,10 @@
  * the transverse field Gamma(t) is ramped down over the anneal, its
  * strength entering as the inter-replica coupling
  *
- *     J_perp(t) = -(1 / (2 beta_slice)) ln tanh(Gamma(t) beta_slice).
+ *     J_perp(t) = -(1 / (2 beta_slice)) ln tanh(Gamma(t) beta_slice),
+ *
+ * at total inverse temperature beta = 8 (beta_slice = beta / M), with
+ * Gamma ramped from 3x the model's largest coefficient down to 0.01.
  *
  * The paper itself cites this technique as a hardware-comparable
  * classical substitute (Hitachi's "simulated quantum annealer" [48]).
@@ -31,10 +34,6 @@ class PathIntegralAnnealer : public Sampler
         Params() { num_reads = 25; }
         uint32_t sweeps = 128;        ///< Gamma steps per anneal
         uint32_t trotter_slices = 16; ///< replicas M
-        double beta = 8.0;            ///< total inverse temperature
-        /** Transverse-field ramp; 0 = auto (3x max coupling scale). */
-        double gamma_initial = 0.0;
-        double gamma_final = 0.01;
     };
 
     PathIntegralAnnealer() = default;

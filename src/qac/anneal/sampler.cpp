@@ -67,8 +67,6 @@ registry()
              if (o.sweeps > 0)
                  p.sweeps = o.sweeps;
              p.greedy_polish = o.greedy_polish;
-             p.beta_initial = extraOr(o, "sa.beta_initial", 0.0);
-             p.beta_final = extraOr(o, "sa.beta_final", 0.0);
              return std::make_unique<SimulatedAnnealer>(p);
          }},
         {"sqa",
@@ -79,21 +77,12 @@ registry()
                  p.sweeps = o.sweeps;
              p.trotter_slices = static_cast<uint32_t>(
                  extraOr(o, "sqa.trotter_slices", p.trotter_slices));
-             p.beta = extraOr(o, "sqa.beta", p.beta);
-             p.gamma_initial =
-                 extraOr(o, "sqa.gamma_initial", p.gamma_initial);
-             p.gamma_final =
-                 extraOr(o, "sqa.gamma_final", p.gamma_final);
              return std::make_unique<PathIntegralAnnealer>(p);
          }},
         {"exact",
          [](const SamplerOpts &o) -> std::unique_ptr<Sampler> {
              ExactSolver::Params p;
              p.threads = o.common.threads;
-             p.max_vars = static_cast<size_t>(
-                 extraOr(o, "exact.max_vars", p.max_vars));
-             p.max_ground_states = static_cast<size_t>(extraOr(
-                 o, "exact.max_ground_states", p.max_ground_states));
              return std::make_unique<ExactSolver>(p);
          }},
         {"qbsolv",
@@ -128,8 +117,6 @@ registry()
              if (o.sweeps > 0)
                  p.sweeps = o.sweeps;
              p.greedy_polish = o.greedy_polish;
-             p.beta_initial = extraOr(o, "chainflip.beta_initial", 0.0);
-             p.beta_final = extraOr(o, "chainflip.beta_final", 0.0);
              return std::make_unique<ChainFlipAnnealer>(p, o.chains);
          }},
     };

@@ -52,9 +52,10 @@ class Sampler
 
 /**
  * Options every makeSampler builder understands.  Sampler-specific
- * knobs beyond these travel in the string-keyed @p extra map, e.g.
- * "qbsolv.subproblem_size", "qbsolv.outer_iterations",
- * "qbsolv.restarts", "sqa.trotter_slices", "sqa.beta".
+ * knobs beyond these travel in the string-keyed @p extra map; the
+ * built-in samplers read exactly "qbsolv.subproblem_size",
+ * "qbsolv.outer_iterations", "qbsolv.restarts" and
+ * "sqa.trotter_slices", and ignore any other key.
  */
 struct SamplerOpts
 {

@@ -196,11 +196,7 @@ SimulatedAnnealer::sample(const ising::IsingModel &model) const
 
     const ising::CompiledModel kernel(model);
 
-    auto [b0, b1] = defaultBetaRange(kernel);
-    if (params_.beta_initial > 0)
-        b0 = params_.beta_initial;
-    if (params_.beta_final > 0)
-        b1 = params_.beta_final;
+    const auto [b0, b1] = defaultBetaRange(kernel);
 
     const uint32_t sweeps = std::max<uint32_t>(1, params_.sweeps);
     // Geometric beta schedule.

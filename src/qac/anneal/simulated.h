@@ -25,10 +25,6 @@ class SimulatedAnnealer : public Sampler
     struct Params : CommonParams
     {
         uint32_t sweeps = 256;     ///< full-lattice sweeps per anneal
-        /** Inverse-temperature schedule endpoints; 0 = auto-derived
-         *  from the model's energy scales (neal-style). */
-        double beta_initial = 0.0;
-        double beta_final = 0.0;
         bool greedy_polish = false; ///< steepest-descent after each read
     };
 
@@ -37,7 +33,8 @@ class SimulatedAnnealer : public Sampler
 
     SampleSet sample(const ising::IsingModel &model) const override;
 
-    /** The (beta_initial, beta_final) pair auto-derivation. */
+    /** The (beta_initial, beta_final) schedule endpoints, derived from
+     *  the model's energy scales (neal-style). */
     static std::pair<double, double>
     defaultBetaRange(const ising::IsingModel &model);
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -231,6 +232,13 @@ writeHardware(Writer &w, const chimera::HardwareGraph &hw)
     }
 }
 
+/**
+ * Accepts exactly what writeHardware writes: inactive ids strictly
+ * increasing and below the node count, edges as strictly increasing
+ * (u < v < nodes) pairs, and no qubit with more couplers than Chimera
+ * gives one.  The degree bound also keeps HardwareGraph::addEdge's
+ * duplicate scan O(1) per edge.
+ */
 chimera::HardwareGraph
 readHardware(Reader &r)
 {
@@ -242,18 +250,32 @@ readHardware(Reader &r)
     if (!r.ok())
         return chimera::HardwareGraph();
     chimera::HardwareGraph hw(static_cast<size_t>(nodes));
+    uint32_t prev_inactive = 0;
     uint64_t inactive = r.u64();
     for (uint64_t i = 0; i < inactive && r.ok(); ++i) {
         uint32_t u = r.u32();
-        if (u < nodes)
-            hw.deactivate(u);
+        if (u >= nodes || (i > 0 && u <= prev_inactive)) {
+            r.fail();
+            break;
+        }
+        hw.deactivate(u);
+        prev_inactive = u;
     }
+    std::vector<uint8_t> degree(static_cast<size_t>(nodes), 0);
+    std::pair<uint32_t, uint32_t> prev_edge;
     uint64_t edges = r.u64();
     for (uint64_t i = 0; i < edges && r.ok(); ++i) {
         uint32_t u = r.u32();
         uint32_t v = r.u32();
-        if (u < nodes && v < nodes && u != v)
-            hw.addEdge(u, v);
+        if (u >= v || v >= nodes ||
+            (i > 0 && std::pair(u, v) <= prev_edge) ||
+            ++degree[u] > chimera::kMaxChimeraDegree ||
+            ++degree[v] > chimera::kMaxChimeraDegree) {
+            r.fail();
+            break;
+        }
+        hw.addEdge(u, v);
+        prev_edge = {u, v};
     }
     return hw;
 }

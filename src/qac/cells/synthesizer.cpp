@@ -10,6 +10,11 @@ namespace qac::cells {
 
 namespace {
 
+/** Required valid/invalid energy gap for a pattern to count. */
+constexpr double kMinGap = 1e-6;
+/** Random pattern budget when exhaustive search is too large. */
+constexpr size_t kMaxRandomPatterns = 512;
+
 /**
  * LP variable layout for a cell over n spins:
  *   columns [0, n)            shifted linear coefficients h'_i
@@ -165,7 +170,7 @@ synthesizeWithPattern(const TruthTable &tt, size_t num_ancillas,
     obj[lay.gCol()] = 1.0;
 
     LpResult lp = solveLp(lay.cols, obj, cons);
-    if (lp.status != LpStatus::Optimal || lp.objective < opts.minGap)
+    if (lp.status != LpStatus::Optimal || lp.objective < kMinGap)
         return std::nullopt;
 
     SynthesizedCell cell;
@@ -219,7 +224,7 @@ synthesizeCell(const TruthTable &tt, const SynthesisOptions &opts)
             }
         } else {
             Rng rng(opts.seed);
-            for (size_t t = 0; t < opts.maxRandomPatterns; ++t) {
+            for (size_t t = 0; t < kMaxRandomPatterns; ++t) {
                 std::vector<uint32_t> pattern(num_rows);
                 for (size_t r = 0; r < num_rows; ++r)
                     pattern[r] = static_cast<uint32_t>(

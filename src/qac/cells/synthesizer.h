@@ -48,12 +48,8 @@ struct SynthesisOptions
     size_t maxAncillas = 2;
     /** Coefficient box the LP must respect (hardware ranges). */
     ising::CoefficientRange range{};
-    /** Required valid/invalid energy gap for a pattern to count. */
-    double minGap = 1e-6;
     /** Seed for the randomized 2-ancilla pattern search. */
     uint64_t seed = 1;
-    /** Random pattern budget when exhaustive search is too large. */
-    size_t maxRandomPatterns = 512;
 };
 
 /** Result of a successful synthesis. */

@@ -38,6 +38,10 @@ constexpr uint32_t kMaxChimeraSize = 64;
 constexpr uint32_t kMaxChimeraQubits =
     8 * kMaxChimeraSize * kMaxChimeraSize;
 
+/** Most couplers one Chimera qubit has: 4 inside its unit cell plus 2
+ *  to the neighbouring cells. */
+constexpr uint32_t kMaxChimeraDegree = 6;
+
 /**
  * Build a C_m Chimera graph (m x m unit cells, 8m^2 qubits).
  * C16 is the D-Wave 2000Q of the paper.

@@ -64,7 +64,6 @@ compile(const std::string &source, const CompileOptions &opts)
     if (opts.target == Target::Chimera) {
         chimera::HardwareGraph hw =
             chimera::chimeraGraph(opts.chimera_size);
-        chimera::applyDropout(hw, opts.qubit_dropout, opts.embed.seed);
 
         artifact::Cache cache(opts.cache);
         auto edgesOf = [](const ising::IsingModel &m) {

@@ -100,7 +100,6 @@ struct CompileOptions
 
     Target target = Target::Logical;
     uint32_t chimera_size = 16;      ///< C_m; 16 = D-Wave 2000Q
-    double qubit_dropout = 0.0;      ///< random inactive-qubit fraction
     embed::EmbedParams embed;
 
     /** Read by nothing: every compile stage is single-threaded.  Kept

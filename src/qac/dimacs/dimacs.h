@@ -77,7 +77,7 @@ struct DecodeInfo
     uint32_t num_vars = 0;
     bool weighted = false;
     uint64_t top_weight = 0;
-    /** Penalty applied to each hard clause (auto: soft total + 1). */
+    /** Penalty applied to each hard clause: soft total + 1. */
     double hard_weight = 1.0;
     /** Constant such that  penalty(sigma) = H(sigma) + offset :
      *  a zero-violation assignment sits at energy -offset. */

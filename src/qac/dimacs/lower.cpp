@@ -146,8 +146,7 @@ lower(const Instance &inst, const FrontendOptions &opts)
     for (const auto &cl : inst.clauses)
         if (!cl.hard)
             soft_total += static_cast<double>(cl.weight);
-    const double hard_w =
-        opts.hard_weight > 0 ? opts.hard_weight : soft_total + 1.0;
+    const double hard_w = soft_total + 1.0;
 
     // Give every declared variable a symbol (even ones in no clause)
     // so decode and pinning work uniformly.

@@ -34,8 +34,6 @@ namespace qac::dimacs {
 /** Per-frontend compile options for DIMACS (CompileOptions variant). */
 struct FrontendOptions
 {
-    /** Hard-clause penalty weight; 0 = auto (soft total + 1). */
-    double hard_weight = 0.0;
     /** Reuse OR-gadget ancillas across identical sub-clauses. */
     bool share_ancillas = true;
 };

@@ -212,17 +212,16 @@ unrollSequential(const Netlist &nl, size_t steps, const UnrollOptions &opts)
         });
     }
 
-    if (opts.prune_unused_inputs) {
-        auto fan = out.fanoutCounts();
-        std::erase_if(out.ports(), [&](const Port &p) {
-            if (p.dir != PortDir::Input)
+    // Drop input ports with no fanout (e.g. the clock).
+    auto fan = out.fanoutCounts();
+    std::erase_if(out.ports(), [&](const Port &p) {
+        if (p.dir != PortDir::Input)
+            return false;
+        for (NetId b : p.bits)
+            if (fan[b] != 0)
                 return false;
-            for (NetId b : p.bits)
-                if (fan[b] != 0)
-                    return false;
-            return true;
-        });
-    }
+        return true;
+    });
 
     out.check();
     return out;

@@ -33,8 +33,6 @@ struct UnrollOptions
     bool expose_initial_state = true;
     /** Expose register final state as output ports "<reg>@T". */
     bool expose_final_state = true;
-    /** Drop input ports with no fanout (e.g. the clock). */
-    bool prune_unused_inputs = true;
 };
 
 /**
@@ -43,8 +41,9 @@ struct UnrollOptions
  *
  * Original input port "p" becomes "p@0".."p@T-1"; output port "q"
  * becomes "q@0".."q@T-1"; register bits become "<reg>@0" inputs and
- * "<reg>@T" outputs.  Combinational netlists are returned as a plain
- * copy (single step, original port names preserved).
+ * "<reg>@T" outputs.  Input ports with no fanout (e.g. the clock) are
+ * dropped.  Combinational netlists are returned as a plain copy
+ * (single step, original port names preserved).
  */
 Netlist unrollSequential(const Netlist &nl, size_t steps,
                          const UnrollOptions &opts = {});

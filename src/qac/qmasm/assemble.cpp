@@ -301,7 +301,8 @@ assemble(const Program &prog, const AssembleOptions &opts)
     }
     out.model.resize(out.var_names.size());
 
-    // Default chain strength: twice the largest-in-magnitude literal J.
+    // Chain strength: twice the largest-in-magnitude literal J (or h,
+    // for a model without couplings); pins bias just as strongly.
     double max_j = 0.0;
     double max_h = 0.0;
     for (const auto &st : stmts) {
@@ -310,15 +311,10 @@ assemble(const Program &prog, const AssembleOptions &opts)
         if (st.kind == Statement::Kind::Weight)
             max_h = std::max(max_h, std::abs(st.value));
     }
-    double chain_str = opts.chain_strength;
-    if (chain_str <= 0.0)
-        chain_str = max_j > 0 ? 2.0 * max_j
-                              : (max_h > 0 ? 2.0 * max_h : 2.0);
-    double pin_str = opts.pin_strength;
-    if (pin_str <= 0.0)
-        pin_str = chain_str;
+    const double chain_str = max_j > 0 ? 2.0 * max_j
+                                       : (max_h > 0 ? 2.0 * max_h : 2.0);
     out.chain_strength_used = chain_str;
-    out.pin_strength_used = pin_str;
+    out.pin_strength_used = chain_str;
 
     auto var_of = [&](const std::string &s) {
         return root_to_var.at(uf.find(sym_id(s)));
@@ -355,7 +351,7 @@ assemble(const Program &prog, const AssembleOptions &opts)
             // Bias toward the pinned value: H_VCC = -sigma (true),
             // H_GND = +sigma (false), scaled up to dominate.
             out.model.addLinear(var_of(st.sym1),
-                                st.pin_value ? -pin_str : pin_str);
+                                st.pin_value ? -chain_str : chain_str);
             out.pins.emplace_back(st.sym1, st.pin_value);
             break;
           }

@@ -32,10 +32,6 @@ struct AssembleOptions
 {
     /** Merge chained variables into one (qmasm -O behaviour). */
     bool merge_chains = true;
-    /** Chain coupling magnitude when not merging; 0 = auto (2x max |J|). */
-    double chain_strength = 0.0;
-    /** Pin bias magnitude; 0 = auto (same as chain strength). */
-    double pin_strength = 0.0;
 };
 
 /** The assembled logical model plus its symbol table. */
@@ -53,6 +49,8 @@ class Assembled
     /** Assertion expressions (expanded symbol names). */
     std::vector<std::string> asserts;
 
+    /** Chain coupling magnitude (2x max |J|) and pin bias (the same);
+     *  recorded in the .qo. */
     double chain_strength_used = 0.0;
     double pin_strength_used = 0.0;
     /** Constant energy from couplings collapsed by merging. */

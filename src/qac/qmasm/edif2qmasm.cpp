@@ -65,12 +65,11 @@ portBitSymbol(const netlist::Port &port, size_t bit)
 }
 
 Program
-netlistToQmasm(const netlist::Netlist &nl, const Edif2QmasmOptions &opts)
+netlistToQmasm(const netlist::Netlist &nl)
 {
     stats::ScopedTimer timer("qmasm.edif2qmasm.time");
     Program prog;
-    if (opts.with_stdcell_macros)
-        prog.macros = stdcellLibrary().macros;
+    prog.macros = stdcellLibrary().macros;
 
     {
         Statement c;
@@ -164,10 +163,10 @@ symbolNets(const netlist::Netlist &nl)
 }
 
 Program
-edifToQmasm(const std::string &edif_text, const Edif2QmasmOptions &opts)
+edifToQmasm(const std::string &edif_text)
 {
     netlist::Netlist nl = edif::readEdif(edif_text);
-    return netlistToQmasm(nl, opts);
+    return netlistToQmasm(nl);
 }
 
 } // namespace qac::qmasm

@@ -22,21 +22,13 @@
 
 namespace qac::qmasm {
 
-struct Edif2QmasmOptions
-{
-    /** Copy the standard-cell macros into the program (the effect of
-     *  '!include "stdcell.qmasm"').  When false the caller must merge
-     *  stdcellLibrary() macros before assembling. */
-    bool with_stdcell_macros = true;
-};
-
-/** Translate a gate netlist into a QMASM program. */
-Program netlistToQmasm(const netlist::Netlist &nl,
-                       const Edif2QmasmOptions &opts = {});
+/** Translate a gate netlist into a QMASM program.  The standard-cell
+ *  macros are copied into the program (the effect of
+ *  '!include "stdcell.qmasm"'). */
+Program netlistToQmasm(const netlist::Netlist &nl);
 
 /** Translate EDIF text (parsing it first). */
-Program edifToQmasm(const std::string &edif_text,
-                    const Edif2QmasmOptions &opts = {});
+Program edifToQmasm(const std::string &edif_text);
 
 /** Symbol naming for a port bit ("c[1]"; scalar ports keep their name). */
 std::string portBitSymbol(const netlist::Port &port, size_t bit);

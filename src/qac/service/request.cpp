@@ -105,9 +105,12 @@ serializeRequest(const SampleRequest &req)
     w.u8(req.use_physical ? 1 : 0);
     w.u8(req.reduce ? 1 : 0);
     w.u64(req.request_id);
-    w.u8(req.want_telemetry ? 1 : 0);
-    w.u32(req.telemetry_stride);
-    w.u32(req.telemetry_capacity);
+    // Reserved: three telemetry fields no server reads, written at
+    // their old defaults so clients and servers of any age agree on
+    // the layout.
+    w.u8(0);
+    w.u32(1);
+    w.u32(256);
     return w.take();
 }
 
@@ -135,9 +138,10 @@ parseRequest(std::string_view bytes, SampleRequest &out,
     req.use_physical = r.u8() != 0;
     req.reduce = r.u8() != 0;
     req.request_id = r.u64();
-    req.want_telemetry = r.u8() != 0;
-    req.telemetry_stride = r.u32();
-    req.telemetry_capacity = r.u32();
+    // The three reserved telemetry fields: read and ignored.
+    r.u8();
+    r.u32();
+    r.u32();
     // Older clients append one byte that chose the SA kernel path;
     // SA now picks its path from the read count, so it is ignored.
     if (r.remaining() == 1)

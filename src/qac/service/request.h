@@ -80,13 +80,6 @@ struct SampleRequest
      * still replay any of them exactly.
      */
     uint64_t request_id = 0;
-
-    /** Telemetry options (PR 5): ask the executing side to collect
-     *  per-read sweep traces at this stride/capacity.  The manifest in
-     *  the result is attached regardless. */
-    bool want_telemetry = false;
-    uint32_t telemetry_stride = 1;
-    uint32_t telemetry_capacity = 256;
 };
 
 /**

@@ -258,7 +258,7 @@ Hello
 Server::helloFrame() const
 {
     Hello hello;
-    hello.server = opts_.server_name;
+    hello.server = "qmad";
     hello.solvers = anneal::samplerNames();
     hello.objects = store_.list();
     hello.queue_depth =

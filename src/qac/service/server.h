@@ -136,7 +136,6 @@ class ServiceCore
 struct ServerOptions
 {
     std::string socket_path;
-    std::string server_name = "qmad";
     StoreOptions store;
     CoreOptions core;
 };

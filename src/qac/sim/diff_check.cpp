@@ -36,6 +36,11 @@ inputString(const std::vector<const Port *> &ports,
     return s;
 }
 
+constexpr uint64_t kSampleSeed = 1;
+constexpr size_t kMaxMismatches = 8;
+constexpr const char *kFallbackSolver = "sa";
+constexpr uint32_t kFallbackReads = 256;
+
 } // namespace
 
 std::string
@@ -91,13 +96,11 @@ diffCheck(const core::CompileResult &compiled,
 
     DiffReport report;
     auto addMismatch = [&](uint64_t index, std::string detail) {
-        if (opts.max_mismatches == 0 ||
-            report.mismatches.size() < opts.max_mismatches)
+        if (report.mismatches.size() < kMaxMismatches)
             report.mismatches.push_back({index, std::move(detail)});
     };
     auto full = [&]() {
-        return opts.max_mismatches != 0 &&
-               report.mismatches.size() >= opts.max_mismatches;
+        return report.mismatches.size() >= kMaxMismatches;
     };
 
     // Ports are matched by name between the reference netlist (the
@@ -164,7 +167,7 @@ diffCheck(const core::CompileResult &compiled,
     if (opts.reference && opts.reference != &compiled.netlist)
         sim_cmp.emplace(compiled.netlist);
 
-    Rng rng(opts.seed);
+    Rng rng(kSampleSeed);
     std::vector<uint64_t> in_values(in_ports.size(), 0);
     for (uint64_t vec = 0; vec < num_vectors && !full(); ++vec) {
         // Stimulus: slices of the enumeration value, or fresh draws.
@@ -215,22 +218,19 @@ diffCheck(const core::CompileResult &compiled,
 
         // QMASM asserts, checked against the simulated trace itself
         // (not just whatever samples an annealer returns).
-        if (opts.check_asserts) {
-            const EventSimulator &asim =
-                sim_cmp ? *sim_cmp : sim_ref;
-            AssertTraceResult ar =
-                checkAssertsOnState(compiled.assembled, asim);
-            if (!ar.ok())
-                addMismatch(vec, format(
-                    "input %s: %zu assert(s) failed / %zu "
-                    "indeterminate on the simulated trace%s%s",
-                    inputString(in_ports, in_values).c_str(),
-                    ar.failed, ar.indeterminate,
-                    ar.offenders.empty() ? "" : ": ",
-                    ar.offenders.empty()
-                        ? "" : ar.offenders.front().c_str()));
-            report.asserts.merge(ar);
-        }
+        const EventSimulator &asim = sim_cmp ? *sim_cmp : sim_ref;
+        AssertTraceResult ar =
+            checkAssertsOnState(compiled.assembled, asim);
+        if (!ar.ok())
+            addMismatch(vec, format(
+                "input %s: %zu assert(s) failed / %zu "
+                "indeterminate on the simulated trace%s%s",
+                inputString(in_ports, in_values).c_str(),
+                ar.failed, ar.indeterminate,
+                ar.offenders.empty() ? "" : ": ",
+                ar.offenders.empty()
+                    ? "" : ar.offenders.front().c_str()));
+        report.asserts.merge(ar);
         if (full())
             break;
 
@@ -245,8 +245,8 @@ diffCheck(const core::CompileResult &compiled,
         if (report.exact_ground_states)
             ro.solver = "exact";
         else {
-            ro.solver = opts.fallback_solver;
-            ro.common.num_reads = opts.fallback_reads;
+            ro.solver = kFallbackSolver;
+            ro.common.num_reads = kFallbackReads;
         }
         core::Executable::RunResult rr;
         try {
@@ -254,16 +254,14 @@ diffCheck(const core::CompileResult &compiled,
         } catch (const FatalError &e) {
             // Exact enumeration over capacity: downgrade once to the
             // stochastic fallback and redo this vector.
-            if (!report.exact_ground_states ||
-                opts.fallback_solver.empty())
+            if (!report.exact_ground_states)
                 throw;
             report.exact_ground_states = false;
             stats::count("qac.sim.diff.sampled_fallback");
             warn("diffCheck: %s; falling back to best-energy "
-                 "sampling with '%s'", e.what(),
-                 opts.fallback_solver.c_str());
-            ro.solver = opts.fallback_solver;
-            ro.common.num_reads = opts.fallback_reads;
+                 "sampling with '%s'", e.what(), kFallbackSolver);
+            ro.solver = kFallbackSolver;
+            ro.common.num_reads = kFallbackReads;
             rr = ex.run(ro);
         }
         // Only minimum-energy candidates are ground-state claims; a

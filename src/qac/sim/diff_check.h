@@ -15,6 +15,14 @@
  * (input, expected, got) counterexample instead of a wrong-but-
  * plausible answer.  Exposed as `qacc --verify` and used by the
  * pipeline equivalence fuzzer.
+ *
+ * Sampled vectors draw from seed 1.  The report keeps the first 8
+ * mismatches and stops there.  When the pinned model's largest
+ * coupling component exceeds the exact solver's capacity, the oracle
+ * falls back to SA at 256 reads and checks its minimum-energy
+ * candidates instead: a sampling check can miss a bug exact
+ * enumeration would catch, but never reports a false mismatch for a
+ * correct compile with adequate reads.
  */
 
 #ifndef QAC_SIM_DIFF_CHECK_H
@@ -36,24 +44,8 @@ struct DiffCheckOptions
      *  at most this many bits; otherwise sample `samples` vectors. */
     size_t exhaustive_bits = 14;
     size_t samples = 128;
-    uint64_t seed = 1;
     /** Threads for the exact enumeration shards (0 = hardware). */
     uint32_t threads = 0;
-    /** Stop after this many mismatches (0 = collect everything). */
-    size_t max_mismatches = 8;
-    /** Also evaluate QMASM asserts on the simulated traces. */
-    bool check_asserts = true;
-
-    /**
-     * When the pinned model's largest coupling component exceeds the
-     * exact solver's capacity, fall back to this stochastic sampler
-     * and check its minimum-energy candidates instead ("" = no
-     * fallback: the capacity error propagates).  A sampling check can
-     * miss a bug exact enumeration would catch, but never reports a
-     * false mismatch for a correct compile with adequate reads.
-     */
-    std::string fallback_solver = "sa";
-    uint32_t fallback_reads = 256;
 
     /**
      * Reference netlist to simulate (nullptr = the compiled netlist).

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "qac/util/strings.h"
+
 namespace qac::stats {
 
 Trace &
@@ -95,35 +97,6 @@ Trace::size() const
     return events_.size();
 }
 
-static void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 std::string
 Trace::toJson() const
 {
@@ -136,7 +109,7 @@ Trace::toJson() const
             out += ',';
         first = false;
         out += "{\"name\":\"";
-        appendEscaped(out, e.name);
+        appendJsonEscaped(out, e.name);
         out += "\",\"cat\":\"qac\",\"ph\":\"";
         out += e.phase;
         out += '"';

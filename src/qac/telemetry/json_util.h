@@ -15,42 +15,15 @@
 #include <string>
 #include <string_view>
 
-namespace qac::telemetry::detail {
+#include "qac/util/strings.h"
 
-inline void
-appendEscaped(std::string &out, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
+namespace qac::telemetry::detail {
 
 inline void
 appendString(std::string &out, std::string_view s)
 {
     out += '"';
-    appendEscaped(out, s);
+    appendJsonEscaped(out, s);
     out += '"';
 }
 

@@ -7,6 +7,7 @@
 #define QAC_UTIL_STRINGS_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qac {
@@ -35,6 +36,14 @@ std::string toLower(const std::string &s);
 
 /** Count '\n'-separated lines in @p s (a trailing fragment counts). */
 size_t countLines(const std::string &s);
+
+/**
+ * Append @p s to @p out escaped for a JSON string body: '"', '\\',
+ * newline and tab get their short escapes, other control bytes below
+ * 0x20 become \u00XX, and every other byte (UTF-8 included) passes
+ * through unchanged.
+ */
+void appendJsonEscaped(std::string &out, std::string_view s);
 
 } // namespace qac
 

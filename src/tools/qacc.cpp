@@ -61,7 +61,6 @@ struct Args
     uint32_t chimera_size = 16;
     bool run = false;
     bool verify = false;
-    bool physical = false;
     std::vector<std::string> pins;
     /** Unified solver parameters (service layer): the same struct a
      *  qmad request carries, so CLI and daemon defaults agree. */
@@ -95,7 +94,6 @@ usage(const char *argv0)
         "the design\n"
         "                        and compare against the exact ground "
         "states\n"
-        "  --physical            sample the embedded physical model\n"
         "  --pin \"SYM := VAL\"    bind ports (repeatable; qmasm syntax)\n"
         "  --solver %s\n"
         "%s%s",
@@ -149,8 +147,6 @@ parseArgs(int argc, char **argv)
             args.run = true;
         else if (a == "--verify")
             args.verify = true;
-        else if (a == "--physical")
-            args.physical = true;
         else if (a == "--pin")
             args.pins.push_back(need(i));
         else if (a == "--help" || a == "-h")
@@ -341,9 +337,6 @@ runQacc(Args &args, const char *argv0)
     // service::SampleRequest, exactly what a qmad request carries.
     service::SampleRequest req = args.req;
     req.common.threads = args.common.threads;
-    req.use_physical = args.physical;
-    if (args.physical)
-        req.reduce = false;
     service::SampleResult res = service::runLocal(prog, req);
     if (chatty)
         service::printReport(stdout, res, args.common.verbosity);
@@ -379,7 +372,7 @@ main(int argc, char **argv)
             args.common.manifest.param("chimera_size",
                                        uint64_t{args.chimera_size});
         args.common.manifest.param(
-            "physical", uint64_t{args.physical ? 1u : 0u});
+            "physical", uint64_t{args.req.use_physical ? 1u : 0u});
         if (!args.pins.empty())
             args.common.manifest.param(
                 "pins", qac::join(args.pins, "; "));

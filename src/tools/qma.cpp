@@ -54,7 +54,6 @@ struct Args
     std::string input;
     std::vector<std::string> pins;
     bool run = false;
-    bool physical = false;
     /** Unified solver parameters (service layer): the same struct a
      *  qmad request carries, so every mode shares one set of
      *  defaults — local, object, and remote runs are diffable. */
@@ -74,8 +73,6 @@ usage(const char *argv0)
                  "[options]\n"
                  "  --pin \"SYM := VAL\"   bias a variable (repeatable)\n"
                  "  --run                 anneal and report statistics\n"
-                 "  --physical            sample the embedded physical "
-                 "model (run/client mode)\n"
                  "  --solver %s\n"
                  "  --top <N>             solutions to print (default 8)\n"
                  "  --emit-minizinc <f>   convert for classical solution\n"
@@ -106,8 +103,6 @@ parseArgs(int argc, char **argv)
             args.pins.push_back(need(i));
         else if (a == "--run")
             args.run = true;
-        else if (a == "--physical")
-            args.physical = true;
         else if (a == "--top")
             args.top_solutions = static_cast<size_t>(
                 tools::parseUint("--top", need(i)));
@@ -140,8 +135,8 @@ parseArgs(int argc, char **argv)
 
 /**
  * Finish a mode-shared request: pins travel as directives (so the
- * remote path needs no mutable Executable), threads/physical come
- * from their own flags.
+ * remote path needs no mutable Executable), threads come from the
+ * shared --threads flag.
  */
 service::SampleRequest
 buildRequest(const Args &args)
@@ -149,9 +144,6 @@ buildRequest(const Args &args)
     service::SampleRequest req = args.req;
     req.pins = args.pins;
     req.common.threads = args.common.threads;
-    req.use_physical = args.physical;
-    if (args.physical)
-        req.reduce = false;
     return req;
 }
 
@@ -385,7 +377,7 @@ main(int argc, char **argv)
         args.common.manifest.param("sweeps",
                                    uint64_t{args.req.sweeps});
         args.common.manifest.param(
-            "physical", uint64_t{args.physical ? 1u : 0u});
+            "physical", uint64_t{args.req.use_physical ? 1u : 0u});
         if (!args.pins.empty())
             args.common.manifest.param(
                 "pins", qac::join(args.pins, "; "));

@@ -47,7 +47,6 @@ struct Args
     std::string input;
     bool chimera = false;
     uint32_t chimera_size = 16;
-    bool physical = false;
     std::vector<std::string> pins;
     service::SampleRequest req;
     std::string emit_qo;
@@ -62,7 +61,6 @@ usage(const char *argv0)
         "usage: %s <instance.cnf|instance.wcnf> [options]\n"
         "  --target chimera      minor-embed onto a C16 Chimera graph\n"
         "  --chimera-size <M>    use a C_M graph, M <= 64 (default 16)\n"
-        "  --physical            sample the embedded physical model\n"
         "  -o, --emit-qo <file>  write a compiled .qo object "
         "(run with: qma run <file>)\n"
         "  --pin \"xN := 0|1\"     fix a variable (repeatable)\n"
@@ -98,8 +96,6 @@ parseArgs(int argc, char **argv)
                 "--chimera-size", need(i), chimera::kMaxChimeraSize));
         else if (a == "-o" || a == "--emit-qo")
             args.emit_qo = need(i);
-        else if (a == "--physical")
-            args.physical = true;
         else if (a == "--pin")
             args.pins.push_back(need(i));
         else if (a == "--help" || a == "-h")
@@ -166,9 +162,6 @@ runQsat(Args &args)
 
     service::SampleRequest req = args.req;
     req.common.threads = args.common.threads;
-    req.use_physical = args.physical;
-    if (args.physical)
-        req.reduce = false;
     service::SampleResult res = service::runLocal(prog, req);
 
     // Candidates arrive best-energy first; the first valid one is the

@@ -183,6 +183,8 @@ parseCommonFlag(CommonOptions &opts, int argc, char **argv, int &i)
  *   --sweeps N        sweeps per read
  *   --seed N          base RNG seed
  *   --request-id N    replay stream selector (0 = plain seed)
+ *   --physical        sample the embedded physical model, without
+ *                     roof-duality reduction
  *
  * @return true when argv[i] was consumed (@p i advances past values).
  */
@@ -218,6 +220,11 @@ parseParamFlag(service::SampleRequest &req, int argc, char **argv,
         req.request_id = parseUint("--request-id", need());
         return true;
     }
+    if (arg == "--physical") {
+        req.use_physical = true;
+        req.reduce = false;
+        return true;
+    }
     return false;
 }
 
@@ -226,7 +233,8 @@ paramsUsage()
 {
     return "  --reads <N> --sweeps <N> --seed <N>\n"
            "  --request-id <N>      replay id: derives an independent "
-           "seed stream (0 = plain seed)\n";
+           "seed stream (0 = plain seed)\n"
+           "  --physical            sample the embedded physical model\n";
 }
 
 inline const char *

@@ -421,6 +421,79 @@ TEST(Qo, HugeHardwareNodeCountIsMalformedNotAnAllocation)
     EXPECT_EQ(at_cap->hardware->numNodes(), chimera::kMaxChimeraQubits);
 }
 
+/** serializeQo(compiled) with the payload bytes @p from replaced by
+ *  @p to (and the frame re-sealed). */
+std::string
+rewrittenQo(const core::CompileResult &compiled, const std::string &from,
+            const std::string &to)
+{
+    std::string bytes = serializeQo(compiled);
+    auto payload = unframe(bytes, bytes.substr(0, 4).c_str());
+    EXPECT_TRUE(payload);
+    std::string body(*payload);
+    size_t at = body.find(from);
+    EXPECT_NE(at, std::string::npos);
+    body.replace(at, from.size(), to);
+    return frame(bytes.substr(0, 4).c_str(), body);
+}
+
+// The hardware decoder accepts only what writeHardware writes.  A
+// crafted graph with a repeated or out-of-order edge, or a qubit with
+// more couplers than Chimera gives one (6), fails the load: otherwise
+// a dense graph would cost O(edges x degree) in HardwareGraph::addEdge.
+TEST(Qo, HardwareOutsideTheWriterShapeIsMalformed)
+{
+    auto expectMalformed = [](const std::string &qo, const char *what) {
+        std::string err;
+        EXPECT_FALSE(deserializeQo(qo, &err)) << what;
+        EXPECT_NE(err.find("malformed"), std::string::npos)
+            << what << ": " << err;
+    };
+    auto compiled = compileMult(false);
+    compiled.hardware = chimera::chimeraGraph(1);
+    // C1 is one K_{4,4} cell: 8 nodes, none inactive, 16 edges, sorted
+    // (0,4) (0,5) (0,6) (0,7) (1,4) ...
+    Writer head;
+    head.u64(8);
+    head.u64(0);
+    head.u64(16);
+    const std::string edges = head.buffer() + u32Bytes({0, 4, 0, 5, 0, 6});
+    auto firstEdges = [&](std::initializer_list<uint32_t> pairs) {
+        return rewrittenQo(compiled, edges, head.buffer() + u32Bytes(pairs));
+    };
+    expectMalformed(firstEdges({0, 4, 0, 4, 0, 6}), "repeated edge");
+    expectMalformed(firstEdges({0, 5, 0, 4, 0, 6}), "unsorted edges");
+    expectMalformed(firstEdges({0, 4, 5, 0, 0, 6}), "u > v");
+    expectMalformed(firstEdges({0, 4, 0, 0, 0, 6}), "self-loop");
+    expectMalformed(firstEdges({0, 4, 0, 5, 0, 9}),
+                    "endpoint past the node count");
+    std::string err;
+    ASSERT_TRUE(deserializeQo(firstEdges({0, 4, 0, 5, 0, 6}), &err)) << err;
+
+    // Degree: qubit 0 already couples to 4..7; two same-side couplers
+    // bring it to Chimera's 6 and still load, a third is one too many.
+    chimera::HardwareGraph hw = chimera::chimeraGraph(1);
+    hw.addEdge(0, 1);
+    hw.addEdge(0, 2);
+    compiled.hardware = hw;
+    const std::string six = serializeQo(compiled);
+    auto loaded = deserializeQo(six, &err);
+    ASSERT_TRUE(loaded) << err;
+    EXPECT_EQ(serializeQo(*loaded), six);
+    hw.addEdge(0, 3);
+    compiled.hardware = hw;
+    expectMalformed(serializeQo(compiled), "7 couplers");
+
+    // Inactive ids (after their u64 count) must be strictly increasing.
+    hw = chimera::chimeraGraph(1);
+    for (uint32_t q : {5u, 6u, 7u})
+        hw.deactivate(q);
+    compiled.hardware = hw;
+    expectMalformed(rewrittenQo(compiled, u32Bytes({3, 0, 5, 6, 7}),
+                                u32Bytes({3, 0, 6, 5, 7})),
+                    "unsorted inactive ids");
+}
+
 // EDIF stored in a .qo is parsed on load; nesting deep enough to
 // overflow the parser's stack must fail the load, not crash it.
 TEST(Qo, DeeplyNestedEdifFailsTheLoad)

@@ -169,7 +169,7 @@ TEST_P(FuzzSeed, InjectedGateBugIsCaught)
     }
     if (!injected)
         GTEST_SKIP() << "design reduced to wires; nothing to corrupt";
-    compiled.qmasm_program = qmasm::netlistToQmasm(compiled.netlist, {});
+    compiled.qmasm_program = qmasm::netlistToQmasm(compiled.netlist);
     compiled.assembled = qmasm::assemble(compiled.qmasm_program, {});
 
     sim::DiffCheckOptions opts;

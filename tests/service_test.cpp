@@ -192,9 +192,6 @@ TEST(Wire, RequestCodecRoundTrip)
     req.solver = "exact";
     req.use_physical = true;
     req.reduce = false;
-    req.want_telemetry = true;
-    req.telemetry_stride = 2;
-    req.telemetry_capacity = 64;
 
     SampleRequest parsed;
     ASSERT_TRUE(parseRequest(serializeRequest(req), parsed));
@@ -207,12 +204,43 @@ TEST(Wire, RequestCodecRoundTrip)
     EXPECT_TRUE(parsed.use_physical);
     EXPECT_FALSE(parsed.reduce);
     EXPECT_EQ(parsed.request_id, 3u);
-    EXPECT_TRUE(parsed.want_telemetry);
-    EXPECT_EQ(parsed.telemetry_stride, 2u);
-    EXPECT_EQ(parsed.telemetry_capacity, 64u);
+
+    // The payload ends in three reserved telemetry fields (u8, u32,
+    // u32) that older clients could fill in; they are read and
+    // ignored.
+    std::string older = serializeRequest(req);
+    older[older.size() - 9] = 1;
+    older[older.size() - 8] = 2;
+    older[older.size() - 4] = 64;
+    SampleRequest parsed_older;
+    ASSERT_TRUE(parseRequest(older, parsed_older));
+    EXPECT_EQ(serializeRequest(parsed_older), serializeRequest(req));
 
     SampleRequest garbage;
     EXPECT_FALSE(parseRequest("not a request", garbage));
+}
+
+TEST(Wire, DefaultRequestBytesAreStable)
+{
+    // The request layout is a promise between `qma client` and qmad
+    // builds of any age: a default request must keep serializing to
+    // exactly these bytes, including the three reserved telemetry
+    // fields (u8 0, u32 1, u32 256) that no server reads.
+    const std::string bytes = serializeRequest(SampleRequest{});
+    std::string hex;
+    for (unsigned char c : bytes)
+        hex += format("%02x", c);
+    EXPECT_EQ(hex,
+              "0000000000000000"  // object_digest: empty string
+              "0000000000000000"  // pin count
+              "02000000000000007361" // solver "sa"
+              "f4010000"          // num_reads 500
+              "0100000000000000"  // seed 1
+              "00000000"          // threads 0
+              "00020000"          // sweeps 512
+              "00" "01"           // use_physical, reduce
+              "0000000000000000"  // request_id 0
+              "00" "01000000" "00010000"); // reserved telemetry
 }
 
 TEST(Wire, OlderPayloadTrailingByteIsIgnored)

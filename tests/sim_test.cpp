@@ -504,7 +504,7 @@ TEST(DiffCheck, CatchesAnInjectedTechmapBug)
         }
     }
     ASSERT_TRUE(injected);
-    res.qmasm_program = qmasm::netlistToQmasm(res.netlist, {});
+    res.qmasm_program = qmasm::netlistToQmasm(res.netlist);
     res.assembled = qmasm::assemble(res.qmasm_program, {});
 
     DiffCheckOptions opts;
@@ -529,7 +529,7 @@ TEST(DiffCheck, ReportsUnderconstrainedOutputs)
     nl.addPortOver("y", PortDir::Output, {y});
     core::CompileResult res;
     res.netlist = nl;
-    res.qmasm_program = qmasm::netlistToQmasm(nl, {});
+    res.qmasm_program = qmasm::netlistToQmasm(nl);
     res.assembled = qmasm::assemble(res.qmasm_program, {});
     DiffReport rep = diffCheck(res);
     EXPECT_FALSE(rep.ok());

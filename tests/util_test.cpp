@@ -79,6 +79,13 @@ TEST(Strings, ToLower)
     EXPECT_EQ(toLower("MiXeD123"), "mixed123");
 }
 
+TEST(Strings, AppendJsonEscaped)
+{
+    std::string out = "prefix:";
+    appendJsonEscaped(out, "q\"b\\n\nt\tc\x01u\xc3\xa9");
+    EXPECT_EQ(out, "prefix:q\\\"b\\\\n\\nt\\tc\\u0001u\xc3\xa9");
+}
+
 // ---------------------------------------------------------------- logging
 
 TEST(Logging, FatalThrowsFatalError)
