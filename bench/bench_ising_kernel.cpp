@@ -40,7 +40,6 @@ namespace {
 using namespace qac;
 
 constexpr uint64_t kSeed = 2019;
-constexpr double kMaxExpArg = 40.0; // mirrors simulated.cpp's cutoff
 
 /** C_m Chimera hardware graph with random h, J in [-1, 1). */
 ising::IsingModel
@@ -109,7 +108,7 @@ packedScalar(const ising::CompiledModel &kernel,
             s = rng.spin();
         state.reset(spins);
         for (double beta : betas) {
-            const double thresh = kMaxExpArg / beta;
+            const double thresh = anneal::kMaxExpArg / beta;
             bool drew = false;
             for (uint32_t i = 0; i < n; ++i) {
                 const double delta = state.flipDelta(i);
@@ -161,7 +160,7 @@ packedKernel(const ising::CompiledModel &kernel,
         }
         uint64_t live = state.activeMask();
         for (double beta : betas) {
-            const double thresh = kMaxExpArg / beta;
+            const double thresh = anneal::kMaxExpArg / beta;
             const uint64_t drew = sweep(state, rngs, beta, thresh);
             r.proposals +=
                 uint64_t(__builtin_popcountll(live)) * n;

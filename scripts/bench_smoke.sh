@@ -86,25 +86,34 @@ if [ "$found" -eq 0 ]; then
     exit 1
 fi
 
-# ------------------------------------- packed scalar-fallback smoke
-# QAC_NO_AVX2=1 must drop every vector sweep engine (DESIGN.md §13):
-# rerun the kernel bench that way and check it both survives and
-# actually reports the scalar engine — a fallback that silently keeps
-# the vector path would make the env knob a no-op.
-if [ -x "$bench_dir/bench_ising_kernel" ]; then
-    if ! QAC_BENCH_SMOKE=1 QAC_NO_AVX2=1 "$bench_dir/bench_ising_kernel" \
-            --benchmark_filter='NONE' >scalar_fallback.out 2>&1; then
-        echo "FAIL bench_ising_kernel: QAC_NO_AVX2=1 rerun exited" \
-             "nonzero; output:" >&2
-        cat scalar_fallback.out >&2
+# ------------------------------------- packed engine-ladder smoke
+# QAC_NO_AVX2=1 must drop every vector sweep engine and QAC_NO_AVX512=1
+# the top rung (DESIGN.md §13): rerun the kernel bench each way and
+# check it both survives and actually reports the engine one rung down
+# — a fallback that silently keeps the vector path would make the env
+# knob a no-op.  The AVX2 rerun only runs where the default run
+# reported avx512, so an AVX-512 host exercises all three engines.
+engine_rerun() { # <env var> <engine it must report>
+    out="engine_$2.out"
+    if ! env QAC_BENCH_SMOKE=1 "$1=1" "$bench_dir/bench_ising_kernel" \
+            --benchmark_filter='NONE' >"$out" 2>&1; then
+        echo "FAIL bench_ising_kernel: $1=1 rerun exited nonzero;" \
+             "output:" >&2
+        cat "$out" >&2
         failed=1
-    elif ! grep -q 'scalar engine' scalar_fallback.out; then
-        echo "FAIL bench_ising_kernel: QAC_NO_AVX2=1 rerun did not" \
-             "report the scalar packed-sweep engine" >&2
-        grep 'engine' scalar_fallback.out >&2
+    elif ! grep -q "$2 engine" "$out"; then
+        echo "FAIL bench_ising_kernel: $1=1 rerun did not report the" \
+             "$2 packed-sweep engine" >&2
+        grep 'engine' "$out" >&2
         failed=1
     else
-        echo "ok   bench_ising_kernel (QAC_NO_AVX2=1 scalar fallback)"
+        echo "ok   bench_ising_kernel ($1=1 $2 fallback)"
+    fi
+}
+if [ -x "$bench_dir/bench_ising_kernel" ]; then
+    engine_rerun QAC_NO_AVX2 scalar
+    if grep -q 'avx512 engine' bench_ising_kernel.out; then
+        engine_rerun QAC_NO_AVX512 avx2
     fi
 fi
 

@@ -35,6 +35,14 @@
 namespace qac::anneal {
 
 /**
+ * exp(-x) for x above this is below the resolution of Rng::uniform()
+ * (53 bits), so an uphill move this steep can be rejected without
+ * paying for the exp() call.  The SA sweeps skip every lane whose
+ * delta is at or above kMaxExpArg / beta.
+ */
+constexpr double kMaxExpArg = 40.0;
+
+/**
  * Second-stage resolution for a draw that landed in the first-stage
  * squeeze gap (between the quadratic bounds).  For x >= 1/16 a pair of
  * degree-5/4 truncated-series bounds decides almost every remaining

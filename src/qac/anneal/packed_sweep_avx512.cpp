@@ -5,10 +5,16 @@
  * Eight replica lanes per vector op, and the accept logic lives in
  * mask registers: candidate masks come straight out of
  * _mm512_cmp_pd_mask, per-lane RNG state commits are masked stores,
- * and the flip application is a masked add — none of the nibble
- * expansion / blendv selection the AVX2 engine needs.  The u64→f64
- * step of the uniform is the native _mm512_cvtepu64_pd, exact below
- * 2^53 like the scalar conversion.
+ * and the flip application is masked merges (mask_xor for the own
+ * deltas, mask_add for the neighbours', a masked add for the flip
+ * counters) — none of the nibble expansion / blendv selection the
+ * AVX2 engine needs.  The u64→f64 step of the uniform is the native
+ * _mm512_cvtepu64_pd, exact below 2^53 like the scalar conversion.
+ *
+ * A dense row visit draws in two passes (squeeze every candidate
+ * group, then resolve the rare gaps) and applies flips to all eight
+ * groups without compacting the ones that flipped: a dense row flips
+ * lanes in nearly every group (DESIGN.md §13).
  *
  * Compiled with -mavx512f -mavx512dq and -ffp-contract=off — AVX-512F
  * brings FMA instructions with it, and a contracted a*b+c would break
@@ -28,6 +34,7 @@
 
 #include <immintrin.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -65,20 +72,29 @@ reduceMin8(__m512d v)
     return _mm_cvtsd_f64(m1);
 }
 
+/** Element e of lane-bit vector g is bit 8g+e: the test mask of a
+ *  broadcast 64-lane word against it is group g's byte of that word. */
+constexpr auto kLaneBit = [] {
+    std::array<uint64_t, kLanes> b{};
+    for (uint32_t l = 0; l < kLanes; ++l)
+        b[l] = uint64_t{1} << l;
+    return b;
+}();
+
 /**
- * Lockstep draw + Metropolis decision for one 8-lane group.  Steps
- * the group's xoshiro states vectorized, commits new state only for
- * candidate lanes (one masked store per state word), and returns the
- * 8-bit accept mask.  The decision replicates metropolisAcceptU's two
- * squeeze stages with identical expression shapes; only the rare
- * draws both stages leave undecided fall back to the scalar tail.
+ * Stage 1 of the lockstep draw for one 8-lane group: steps the
+ * group's xoshiro states vectorized, commits new state only for
+ * candidate lanes (one masked store per state word), forms the
+ * uniforms @p u and scaled costs @p x, and runs metropolisAcceptU's
+ * quadratic squeeze with identical expression shapes.  Returns the
+ * accepted lanes; @p gap gets the candidate lanes the squeeze left
+ * undecided (resolveGap8).
  */
 inline unsigned
-drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
-           __m512d beta_v)
+squeezeGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
+              __m512d beta_v, __m512d &u, __m512d &x, unsigned &gap)
 {
     const int base = 8 * g;
-    const __mmask8 cm = static_cast<__mmask8>(cand);
 
     __m512i s0 = _mm512_loadu_si512(&rngs.s[0][base]);
     __m512i s1 = _mm512_loadu_si512(&rngs.s[1][base]);
@@ -87,8 +103,7 @@ drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
 
     // result = rotl(s1 * 5, 7) * 9, with ×5 and ×9 as exact shift+add.
     const __m512i r5 = _mm512_add_epi64(_mm512_slli_epi64(s1, 2), s1);
-    const __m512i rot = _mm512_or_si512(_mm512_slli_epi64(r5, 7),
-                                        _mm512_srli_epi64(r5, 57));
+    const __m512i rot = _mm512_rol_epi64(r5, 7);
     const __m512i result =
         _mm512_add_epi64(_mm512_slli_epi64(rot, 3), rot);
 
@@ -98,8 +113,7 @@ drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
     s1 = _mm512_xor_si512(s1, s2);
     s0 = _mm512_xor_si512(s0, s3);
     s2 = _mm512_xor_si512(s2, t);
-    s3 = _mm512_or_si512(_mm512_slli_epi64(s3, 45),
-                         _mm512_srli_epi64(s3, 19));
+    s3 = _mm512_rol_epi64(s3, 45);
 
     // Only candidate lanes consumed a draw; masked stores leave the
     // other lanes' state untouched.  Full-group candidacy (the common
@@ -110,6 +124,7 @@ drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
         _mm512_storeu_si512(&rngs.s[2][base], s2);
         _mm512_storeu_si512(&rngs.s[3][base], s3);
     } else {
+        const __mmask8 cm = static_cast<__mmask8>(cand);
         _mm512_mask_storeu_epi64(&rngs.s[0][base], cm, s0);
         _mm512_mask_storeu_epi64(&rngs.s[1][base], cm, s1);
         _mm512_mask_storeu_epi64(&rngs.s[2][base], cm, s2);
@@ -117,15 +132,14 @@ drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
     }
 
     // Exact (next() >> 11) * 2^-53, as in Rng::uniform.
-    const __m512d u = _mm512_mul_pd(
-        _mm512_cvtepu64_pd(_mm512_srli_epi64(result, 11)),
-        _mm512_set1_pd(0x1.0p-53));
+    u = _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(result, 11)),
+                      _mm512_set1_pd(0x1.0p-53));
 
-    // Stage 1 — metropolisAcceptU's squeeze, identical shapes:
+    // metropolisAcceptU's squeeze, identical shapes:
     // t = 1 - 0.5*x; below = (t > 0) & (u < t*t);
     // above = u * ((1 + x) + (0.5*x)*x) >= 1.
     const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d x = _mm512_mul_pd(beta_v, d);
+    x = _mm512_mul_pd(beta_v, d);
     const __m512d halfx = _mm512_mul_pd(_mm512_set1_pd(0.5), x);
     const __m512d tt = _mm512_sub_pd(one, halfx);
     const __mmask8 below =
@@ -136,15 +150,26 @@ drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
     const __mmask8 above = _mm512_cmp_pd_mask(
         _mm512_mul_pd(u, poly), one, _CMP_GE_OQ);
 
-    unsigned accept = below & cand;
-    unsigned gap = cand & ~unsigned(below | above);
-    if (gap == 0)
-        return accept;
+    gap = cand & ~unsigned(below | above);
+    return below & cand;
+}
 
-    // Stage 2 — metropolisAcceptTail's degree-5/4 bounds, identical
-    // shapes, valid for x >= 1/16.
+/**
+ * Stage 2 and the scalar tail for the @p gap lanes of one group,
+ * whose draws the squeeze left undecided: metropolisAcceptTail's
+ * degree-5/4 bounds with identical shapes (valid for x >= 1/16),
+ * then metropolisAcceptTail itself, on the same uniform, for the rare
+ * draws both stages leave open.  Returns the accepted gap lanes.
+ */
+inline unsigned
+resolveGap8(__m512d u, __m512d x, unsigned gap)
+{
+    const __m512d one = _mm512_set1_pd(1.0);
     const __mmask8 s2ok = _mm512_cmp_pd_mask(
         x, _mm512_set1_pd(0.0625), _CMP_GE_OQ);
+    const __m512d x2 = _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.5),
+                                                   x),
+                                     x);
     const __m512d x3 = _mm512_mul_pd(_mm512_mul_pd(x2, x),
                                      _mm512_set1_pd(1.0 / 3.0));
     const __m512d x4 = _mm512_mul_pd(_mm512_mul_pd(x3, x),
@@ -160,15 +185,12 @@ drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
     const __m512d hi = _mm512_add_pd(
         _mm512_add_pd(_mm512_add_pd(_mm512_add_pd(one, x), x2), x3),
         x4);
-    const unsigned acc2 =
-        gap & s2ok & _mm512_cmp_pd_mask(u, lo, _CMP_LT_OQ);
+    unsigned accept = gap & s2ok & _mm512_cmp_pd_mask(u, lo, _CMP_LT_OQ);
     const unsigned rej2 =
         gap & s2ok &
         _mm512_cmp_pd_mask(_mm512_mul_pd(u, hi), one, _CMP_GE_OQ);
-    accept |= acc2;
-    gap &= ~(acc2 | rej2);
+    gap &= ~(accept | rej2);
     if (gap != 0) {
-        // Rare: neither stage decided — same uniform, scalar tail.
         alignas(64) double ua[8], xa[8];
         _mm512_storeu_pd(ua, u);
         _mm512_storeu_pd(xa, x);
@@ -206,6 +228,7 @@ packedSweepAvx512(ising::PackedState &state, LaneRngs &rngs,
     const __m512d thresh_v = _mm512_set1_pd(thresh);
     const __m512d beta_v = _mm512_set1_pd(beta);
     const __m512d sign_v = _mm512_set1_pd(-0.0);
+    const __m512i one_v = _mm512_set1_epi64(1);
     const double inf = std::numeric_limits<double>::infinity();
 
     uint64_t drew = 0;
@@ -234,15 +257,31 @@ packedSweepAvx512(ising::PackedState &state, LaneRngs &rngs,
         }
         drew |= mask;
 
-        // ---- per-lane draws → accept mask
+        // ---- per-lane draws → accept mask.  The vector path squeezes
+        // every candidate group before it branches on any gap, so the
+        // eight groups' independent chains overlap.
         if (__builtin_popcountll(mask) >= kVectorDrawCut) {
+            __m512d u[kGroups], x[kGroups];
+            uint64_t gap = 0;
             for (int g = 0; g < kGroups; ++g) {
                 const unsigned cand =
                     static_cast<unsigned>((mask >> (8 * g)) & 0xff);
-                if (cand == 0)
+                if (cand == 0) {
+                    u[g] = x[g] = _mm512_setzero_pd(); // no gap bits
                     continue;
-                accept |= uint64_t{drawGroup8(rngs, g, cand, dg[g],
-                                              beta_v)}
+                }
+                unsigned gg = 0;
+                accept |= uint64_t{squeezeGroup8(rngs, g, cand, dg[g],
+                                                 beta_v, u[g], x[g], gg)}
+                          << (8 * g);
+                gap |= uint64_t{gg} << (8 * g);
+            }
+            while (gap != 0) {
+                const int g = __builtin_ctzll(gap) / 8;
+                const unsigned gg =
+                    static_cast<unsigned>((gap >> (8 * g)) & 0xff);
+                gap &= ~(uint64_t{0xff} << (8 * g));
+                accept |= uint64_t{resolveGap8(u[g], x[g], gg)}
                           << (8 * g);
             }
         } else {
@@ -268,27 +307,18 @@ packedSweepAvx512(ising::PackedState &state, LaneRngs &rngs,
             state.applyFlips(i, accept);
             continue;
         }
-        for (uint64_t m = accept; m != 0; m &= m - 1)
-            ++flip_ctr[__builtin_ctzll(m)];
-        // Active groups and their accept lane masks, once per flip set.
-        int groups[kGroups];
-        __mmask8 amask[kGroups];
-        int ngroups = 0;
+        // Merge each group's flipped lanes into full-vector stores
+        // (other lanes get their own bits back): bump their flip
+        // counters and negate their deltas from the loaded dg[g].
+        __mmask8 am[kGroups];
         for (int g = 0; g < kGroups; ++g) {
-            const __mmask8 am =
-                static_cast<__mmask8>((accept >> (8 * g)) & 0xff);
-            if (am != 0) {
-                groups[ngroups] = g;
-                amask[ngroups] = am;
-                ++ngroups;
-            }
-        }
-        // Negate the flipped lanes' own deltas (delta_i → -delta_i).
-        for (int a = 0; a < ngroups; ++a) {
-            const int g = groups[a];
-            const __m512d old = _mm512_loadu_pd(di + 8 * g);
-            _mm512_mask_storeu_pd(di + 8 * g, amask[a],
-                                  _mm512_xor_pd(old, sign_v));
+            am[g] = static_cast<__mmask8>((accept >> (8 * g)) & 0xff);
+            const __m512i ctr = _mm512_loadu_si512(flip_ctr + 8 * g);
+            _mm512_storeu_si512(flip_ctr + 8 * g,
+                                _mm512_mask_add_epi64(ctr, am[g], ctr,
+                                                      one_v));
+            _mm512_storeu_pd(di + 8 * g, _mm512_mask_xor_pd(
+                                             dg[g], am[g], dg[g], sign_v));
         }
         const uint64_t bits_new = (bits[i] ^= accept);
         const uint32_t end = row[i + 1];
@@ -299,17 +329,18 @@ packedSweepAvx512(ising::PackedState &state, LaneRngs &rngs,
             // PackedState::applyFlips); the sign select is an XOR of
             // the sign bit, exact for signed zeros too.
             const __m512d w4_v = _mm512_set1_pd(-4.0 * w[k]);
-            const uint64_t differ = bits_new ^ bits[j];
+            const __m512i differ = _mm512_set1_epi64(
+                static_cast<long long>(bits_new ^ bits[j]));
             double *dj = delta + size_t{j} * kLanes;
-            for (int a = 0; a < ngroups; ++a) {
-                const int g = groups[a];
-                const __mmask8 dm = static_cast<__mmask8>(
-                    (differ >> (8 * g)) & 0xff);
+            for (int g = 0; g < kGroups; ++g) {
+                const __mmask8 dm = _mm512_test_epi64_mask(
+                    differ, _mm512_loadu_si512(&kLaneBit[8 * g]));
                 const __m512d addend =
                     _mm512_mask_xor_pd(w4_v, dm, w4_v, sign_v);
-                const __m512d upd = _mm512_add_pd(
-                    _mm512_loadu_pd(dj + 8 * g), addend);
-                _mm512_mask_storeu_pd(dj + 8 * g, amask[a], upd);
+                const __m512d old = _mm512_loadu_pd(dj + 8 * g);
+                _mm512_storeu_pd(dj + 8 * g,
+                                 _mm512_mask_add_pd(old, am[g], old,
+                                                    addend));
             }
             min_delta[j] = -inf;
         }

@@ -21,13 +21,6 @@ namespace qac::anneal {
 namespace {
 
 /**
- * exp(-x) for x above this is below the resolution of Rng::uniform()
- * (53 bits), so an uphill move this steep can be rejected without
- * paying for the exp() call.
- */
-constexpr double kMaxExpArg = 40.0;
-
-/**
  * Read count from which SA runs the packed multi-spin kernel.  The
  * two paths are bitwise-identical, so this is purely a cost choice.
  * Measured on a 4-vCPU AVX-512 Xeon, one thread, random degree-6

@@ -14,6 +14,8 @@ namespace {
 constexpr double kMinGap = 1e-6;
 /** Random pattern budget when exhaustive search is too large. */
 constexpr size_t kMaxRandomPatterns = 512;
+/** Seed of that random pattern search. */
+constexpr uint64_t kPatternSeed = 1;
 
 /**
  * LP variable layout for a cell over n spins:
@@ -223,7 +225,7 @@ synthesizeCell(const TruthTable &tt, const SynthesisOptions &opts)
                 consider(pattern);
             }
         } else {
-            Rng rng(opts.seed);
+            Rng rng(kPatternSeed);
             for (size_t t = 0; t < kMaxRandomPatterns; ++t) {
                 std::vector<uint32_t> pattern(num_rows);
                 for (size_t r = 0; r < num_rows; ++r)

@@ -48,8 +48,6 @@ struct SynthesisOptions
     size_t maxAncillas = 2;
     /** Coefficient box the LP must respect (hardware ranges). */
     ising::CoefficientRange range{};
-    /** Seed for the randomized 2-ancilla pattern search. */
-    uint64_t seed = 1;
 };
 
 /** Result of a successful synthesis. */

@@ -607,6 +607,53 @@ TEST(Telemetry, JsonlThreadInvariantWithChainsAndAnalysis)
               std::string::npos);
 }
 
+TEST(Telemetry, SaEngineLadderGivesIdenticalRuns)
+{
+    // Listing 6's 4x4 multiplier run backward (C = 143) through
+    // `qma run` under each packed SA engine: the default, AVX2 with
+    // AVX-512 vetoed, and scalar.  Stdout and telemetry JSONL must be
+    // byte-identical.  100 reads make the second packed pass ragged
+    // (36 live lanes).  Engine selection is cached per process, so
+    // only spawned tools can cover the whole ladder on a paper program.
+    std::string v = writeTemp("cli_mult4x4.v", R"(
+module mult (A, B, C);
+  input [3:0] A, B;
+  output [7:0] C;
+  assign C = A * B;
+endmodule
+)");
+    std::string qo = std::string(::testing::TempDir()) + "cli_mult4x4.qo";
+    auto [ccode, cout_] = run(std::string(QACC_PATH) + " " + v +
+                              " --top mult --no-cache -o " + qo);
+    ASSERT_EQ(ccode, 0) << cout_;
+
+    auto slurp = [](const std::string &path) {
+        std::ifstream f(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(f)),
+                           std::istreambuf_iterator<char>());
+    };
+    auto sample = [&](const std::string &env, const std::string &tag) {
+        std::string tel = std::string(::testing::TempDir()) +
+            "cli_ladder_" + tag + ".jsonl";
+        auto [code, out] =
+            run(env + std::string(QMA_PATH) + " run " + qo +
+                " --solver sa --reads 100 --sweeps 256 --seed 5 "
+                "--pin \"C[7:0] := 10001111\" --telemetry=" + tel);
+        EXPECT_EQ(code, 0) << out;
+        return std::pair{out, slurp(tel)};
+    };
+    auto [out_top, tel_top] = sample("", "default");
+    auto [out_avx2, tel_avx2] = sample("QAC_NO_AVX512=1 ", "avx2");
+    auto [out_scalar, tel_scalar] = sample("QAC_NO_AVX2=1 ", "scalar");
+
+    EXPECT_NE(out_top.find("reads: 100"), std::string::npos) << out_top;
+    EXPECT_NE(tel_top.find("\"kind\":\"read\""), std::string::npos);
+    EXPECT_EQ(out_top, out_avx2);
+    EXPECT_EQ(out_top, out_scalar);
+    EXPECT_EQ(tel_top, tel_avx2);
+    EXPECT_EQ(tel_top, tel_scalar);
+}
+
 // ------------------------------------------------- service layer
 
 TEST(Qmad, ClientMatchesLocalRunAndDrainsOnSigterm)

@@ -215,7 +215,7 @@ TEST(PackedSweep, ScalarEngineMatchesPerLaneWalkers)
 
     const double betas[] = {0.2, 0.5, 1.1, 2.4, 6.0, 20.0};
     for (const double beta : betas) {
-        const double thresh = 40.0 / beta;
+        const double thresh = anneal::kMaxExpArg / beta;
         anneal::packedSweepScalar(packed, lanes, beta, thresh);
         for (uint32_t l = 0; l < kLanes; ++l) {
             auto &st = walkers[l];
@@ -239,45 +239,93 @@ TEST(PackedSweep, ScalarEngineMatchesPerLaneWalkers)
     }
 }
 
-// Drives @p engine against the scalar engine over a geometric
-// schedule spanning hot (dense masks, vector draw path) through cold
-// (sparse masks, scalar fallbacks), asserting bitwise identity of
-// drew masks, spins, flip counters, delta planes and RNG streams.
+/** Degree-6 model with h and J in steps of 0.5: every flip delta is
+ *  a whole number, so zero and tied deltas are common. */
+ising::IsingModel
+halfStepModel(uint64_t seed, size_t n)
+{
+    Rng rng(seed);
+    ising::IsingModel m(n);
+    for (uint32_t i = 0; i < n; ++i)
+        m.addLinear(i, 0.5 * (static_cast<double>(rng.below(5)) - 2));
+    for (uint32_t i = 0; i < n; ++i) {
+        for (size_t k = 0; k < 3; ++k) {
+            uint32_t j = static_cast<uint32_t>(rng.below(n));
+            if (i != j)
+                m.addQuadratic(i, j, rng.below(2) ? 0.5 : -1.0);
+        }
+    }
+    return m;
+}
+
+// Drives @p engine against the scalar engine from lanes 0..live-1 of
+// @p m over a geometric schedule spanning hot (dense masks, vector
+// draw path) through cold (sparse masks, scalar fallbacks), asserting
+// bitwise identity of drew masks, spins, flip counters, delta planes
+// and RNG streams, and that the lanes never reset stay at +inf.
+void
+expectEngineMatchesScalarOn(uint64_t (*engine)(ising::PackedState &,
+                                               anneal::LaneRngs &,
+                                               double, double),
+                            const ising::IsingModel &m, uint64_t seed,
+                            uint32_t live)
+{
+    ising::CompiledModel k(m);
+    ising::PackedState a(k), b(k);
+    anneal::LaneRngs la, lb;
+    for (uint32_t l = 0; l < live; ++l) {
+        Rng r = Rng::streamAt(seed, l);
+        ising::SpinVector spins = randomSpins(r, m.numVars());
+        a.resetLane(l, spins);
+        b.resetLane(l, spins);
+        la.set(l, r);
+        lb.set(l, r);
+    }
+    double beta = 0.1;
+    for (int s = 0; s < 48; ++s, beta *= 1.2) {
+        const double thresh = anneal::kMaxExpArg / beta;
+        const uint64_t drew_a =
+            anneal::packedSweepScalar(a, la, beta, thresh);
+        const uint64_t drew_b = engine(b, lb, beta, thresh);
+        ASSERT_EQ(drew_a, drew_b) << "sweep " << s;
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    for (uint32_t l = 0; l < kLanes; ++l) {
+        ASSERT_EQ(a.laneSpins(l), b.laneSpins(l)) << l;
+        ASSERT_EQ(a.flips(l), b.flips(l)) << l;
+        const auto da = a.laneDeltas(l), db = b.laneDeltas(l);
+        for (uint32_t i = 0; i < m.numVars(); ++i) {
+            ASSERT_EQ(std::memcmp(&da[i], &db[i], sizeof(double)), 0)
+                << "lane " << l << " var " << i;
+            if (l >= live) {
+                ASSERT_EQ(db[i], inf) << "lane " << l << " var " << i;
+            }
+        }
+        ASSERT_EQ(la.next(l), lb.next(l)) << l;
+    }
+}
+
 void
 expectEngineMatchesScalar(uint64_t (*engine)(ising::PackedState &,
                                              anneal::LaneRngs &,
                                              double, double))
 {
     for (uint64_t seed : {1u, 2u, 3u}) {
-        ising::IsingModel m = randomSparseModel(seed * 101, 64);
-        ising::CompiledModel k(m);
-        ising::PackedState a(k), b(k);
-        anneal::LaneRngs la, lb;
-        for (uint32_t l = 0; l < kLanes; ++l) {
-            Rng r = Rng::streamAt(seed, l);
-            ising::SpinVector spins = randomSpins(r, m.numVars());
-            a.resetLane(l, spins);
-            b.resetLane(l, spins);
-            la.set(l, r);
-            lb.set(l, r);
-        }
-        double beta = 0.1;
-        for (int s = 0; s < 48; ++s, beta *= 1.2) {
-            const double thresh = 40.0 / beta;
-            const uint64_t drew_a =
-                anneal::packedSweepScalar(a, la, beta, thresh);
-            const uint64_t drew_b = engine(b, lb, beta, thresh);
-            ASSERT_EQ(drew_a, drew_b) << "sweep " << s;
-        }
-        for (uint32_t l = 0; l < kLanes; ++l) {
-            ASSERT_EQ(a.laneSpins(l), b.laneSpins(l)) << l;
-            ASSERT_EQ(a.flips(l), b.flips(l)) << l;
-            const auto da = a.laneDeltas(l), db = b.laneDeltas(l);
-            for (uint32_t i = 0; i < m.numVars(); ++i)
-                ASSERT_EQ(da[i], db[i])
-                    << "lane " << l << " var " << i;
-            ASSERT_EQ(la.next(l), lb.next(l)) << l;
-        }
+        SCOPED_TRACE("random weights, seed " + std::to_string(seed));
+        expectEngineMatchesScalarOn(
+            engine, randomSparseModel(seed * 101, 64), seed, kLanes);
+    }
+    {
+        // A ragged pass: lanes 37..63 stay inactive at +inf.
+        SCOPED_TRACE("ragged, 37 live lanes");
+        expectEngineMatchesScalarOn(engine, randomSparseModel(404, 64), 4,
+                                    37);
+    }
+    {
+        // Zero deltas (x = 0 always accepts) and ties between lanes.
+        SCOPED_TRACE("half-step weights");
+        expectEngineMatchesScalarOn(engine, halfStepModel(505, 64), 5,
+                                    kLanes);
     }
 }
 
