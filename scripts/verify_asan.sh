@@ -24,7 +24,9 @@
 # covers the hardware graph and the Chimera builder.  The
 # service-labelled suite covers the QSVC frame and request decoders
 # (the request's reserved telemetry fields are read and skipped) and
-# the loopback server/client round trip.
+# the loopback server/client round trip.  The qmasm-labelled suite
+# covers the assembler's lowering walk, which keeps pointers to its
+# interned symbol keys and reuses one instance-prefix buffer.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,9 +35,9 @@ BUILD=build-asan
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
 cmake --build "$BUILD" -j4 --target stats_test cli_test packed_test \
     kernel_test dimacs_test sim_test edif_test sexpr_test embed_test \
-    artifact_test chimera_test service_test qacc qma qsat
+    artifact_test chimera_test service_test qmasm_test qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|kernel|sat|sim|edif|embed|artifact|chimera|service' \
+ctest -L 'stats|packed|kernel|sat|sim|edif|embed|artifact|chimera|service|qmasm' \
     --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

@@ -112,9 +112,8 @@ class VerilogFrontend : public Frontend
             // Count the main program without the standard-cell macros,
             // the way Section 6.1 reports "736 lines of QMASM
             // (excluding the 232 lines in the standard-cell library)".
-            qmasm::Program main_only;
-            main_only.statements = out.program.statements;
-            out.qmasm_lines = main_only.lineCount();
+            out.qmasm_lines =
+                qmasm::countStatementLines(out.program.statements);
             static const size_t stdcell_lines =
                 countLines(qmasm::stdcellText());
             out.stdcell_lines = stdcell_lines;

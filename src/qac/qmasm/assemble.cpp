@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <numeric>
 #include <optional>
+#include <string_view>
 
-#include "qac/qmasm/expand.h"
 #include "qac/stats/registry.h"
 #include "qac/util/logging.h"
 
@@ -35,6 +36,120 @@ struct UnionFind
         b = find(b);
         if (a != b)
             parent[std::max(a, b)] = std::min(a, b);
+    }
+};
+
+bool
+isSymChar(char c)
+{
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+        c == '$' || c == '.' || c == '[' || c == ']';
+}
+
+/** Prefix every symbol token inside an assert expression. */
+std::string
+prefixAssertText(const std::string &text, const std::string &prefix)
+{
+    if (prefix.empty())
+        return text;
+    std::string out;
+    size_t i = 0;
+    while (i < text.size()) {
+        char c = text[i];
+        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
+            c == '$') {
+            size_t start = i;
+            while (i < text.size() && isSymChar(text[i]))
+                ++i;
+            std::string_view sym(text.data() + start, i - start);
+            if (sym != "true" && sym != "false")
+                out += prefix;
+            out += sym;
+        } else {
+            out += c;
+            ++i;
+        }
+    }
+    return out;
+}
+
+/** One primitive statement with its symbols interned. */
+struct Op
+{
+    Statement::Kind kind;
+    bool pin_value;
+    uint32_t a, b; ///< symbol ids (b unused for weights and pins)
+    double value;
+};
+
+/**
+ * The lowering walk: expands every !use_macro in place, the way
+ * "!use_macro AND3 my_and" makes my_and.A of the body's A (Section
+ * 4.3.5), and interns each instance-prefixed symbol once, in
+ * first-appearance order.  Asserts go straight to @p asserts with
+ * their symbols prefixed; comments are dropped.
+ */
+struct Lowering
+{
+    const Program &prog;
+    std::vector<std::string> &asserts;
+    /** Symbol -> id.  Node-based, so names[] may point at its keys. */
+    std::unordered_map<std::string, uint32_t> intern = {};
+    std::vector<const std::string *> names = {}; ///< id -> symbol
+    std::vector<Op> ops = {};
+    std::string prefix = {}; ///< "inst.sub." of the body being walked
+    std::string key = {};    ///< prefix + symbol, reused
+
+    uint32_t
+    id(const std::string &sym)
+    {
+        const bool bare = prefix.empty() || sym.empty();
+        if (!bare)
+            key.assign(prefix).append(sym);
+        auto [it, inserted] = intern.try_emplace(
+            bare ? sym : key, static_cast<uint32_t>(names.size()));
+        if (inserted)
+            names.push_back(&it->first);
+        return it->second;
+    }
+
+    void
+    walk(const std::vector<Statement> &stmts, int depth)
+    {
+        if (depth > 32)
+            fatal("qmasm: macro recursion too deep");
+        for (const auto &st : stmts) {
+            switch (st.kind) {
+              case Statement::Kind::UseMacro: {
+                const Macro *m = prog.findMacro(st.sym1);
+                if (!m)
+                    fatal("qmasm line %zu: unknown macro '%s'", st.line,
+                          st.sym1.c_str());
+                stats::count("qmasm.expand.macros_expanded");
+                const size_t len = prefix.size();
+                prefix.append(st.sym2).push_back('.');
+                walk(m->body, depth + 1);
+                prefix.resize(len);
+                break;
+              }
+              case Statement::Kind::Comment:
+                break;
+              case Statement::Kind::Assert:
+                asserts.push_back(prefixAssertText(st.text, prefix));
+                break;
+              case Statement::Kind::Weight:
+              case Statement::Kind::Pin:
+                ops.push_back({st.kind, st.pin_value, id(st.sym1), 0,
+                               st.value});
+                break;
+              default: { // coupling, chain, alias
+                uint32_t a = id(st.sym1);
+                ops.push_back({st.kind, st.pin_value, a, id(st.sym2),
+                               st.value});
+                break;
+              }
+            }
+        }
     }
 };
 
@@ -243,126 +358,92 @@ Assembled
 assemble(const Program &prog, const AssembleOptions &opts)
 {
     stats::ScopedTimer timer("qmasm.assemble.time");
-    std::vector<Statement> stmts = expand(prog);
-
-    // Symbol interning in first-appearance order (deterministic ids).
-    std::unordered_map<std::string, uint32_t> intern;
-    std::vector<std::string> names;
-    auto sym_id = [&](const std::string &s) {
-        auto [it, inserted] =
-            intern.emplace(s, static_cast<uint32_t>(names.size()));
-        if (inserted)
-            names.push_back(s);
-        return it->second;
-    };
-    for (const auto &st : stmts) {
-        switch (st.kind) {
-          case Statement::Kind::Weight:
-          case Statement::Kind::Pin:
-            sym_id(st.sym1);
-            break;
-          case Statement::Kind::Coupling:
-          case Statement::Kind::Chain:
-          case Statement::Kind::Alias:
-            sym_id(st.sym1);
-            sym_id(st.sym2);
-            break;
-          default:
-            break;
-        }
-    }
-
-    // Merge aliases always; merge chains when requested.
-    UnionFind uf;
-    uf.parent.resize(names.size());
-    for (uint32_t i = 0; i < uf.parent.size(); ++i)
-        uf.parent[i] = i;
-    for (const auto &st : stmts) {
-        if (st.kind == Statement::Kind::Alias ||
-            (st.kind == Statement::Kind::Chain && opts.merge_chains))
-            uf.unite(sym_id(st.sym1), sym_id(st.sym2));
-    }
-
-    // Assign variable indices to roots, in first-appearance order.
     Assembled out;
-    std::unordered_map<uint32_t, uint32_t> root_to_var;
-    for (uint32_t i = 0; i < names.size(); ++i) {
-        uint32_t r = uf.find(i);
-        auto [it, inserted] = root_to_var.emplace(
-            r, static_cast<uint32_t>(out.var_names.size()));
-        if (inserted)
-            out.var_names.push_back(names[r]);
-        uint32_t v = it->second;
-        out.sym_to_var.emplace(names[i], v);
-        // Prefer a user-visible name for reporting.
-        if (isInternalSymbol(out.var_names[v]) &&
-            !isInternalSymbol(names[i]))
-            out.var_names[v] = names[i];
+    Lowering low{prog, out.asserts};
+    {
+        stats::ScopedTimer t("qmasm.expand.time");
+        low.walk(prog.statements, 0);
+        stats::gauge("qmasm.expand.statements_out",
+                     low.ops.size() + out.asserts.size());
     }
-    out.model.resize(out.var_names.size());
+    const auto n = static_cast<uint32_t>(low.names.size());
 
-    // Chain strength: twice the largest-in-magnitude literal J (or h,
-    // for a model without couplings); pins bias just as strongly.
+    // Merge aliases always; merge chains when requested.  Chain
+    // strength: twice the largest-in-magnitude literal J (or h, for a
+    // model without couplings); pins bias just as strongly.
+    UnionFind uf;
+    uf.parent.resize(n);
+    std::iota(uf.parent.begin(), uf.parent.end(), 0u);
     double max_j = 0.0;
     double max_h = 0.0;
-    for (const auto &st : stmts) {
-        if (st.kind == Statement::Kind::Coupling)
-            max_j = std::max(max_j, std::abs(st.value));
-        if (st.kind == Statement::Kind::Weight)
-            max_h = std::max(max_h, std::abs(st.value));
+    for (const Op &op : low.ops) {
+        if (op.kind == Statement::Kind::Alias ||
+            (op.kind == Statement::Kind::Chain && opts.merge_chains))
+            uf.unite(op.a, op.b);
+        if (op.kind == Statement::Kind::Coupling)
+            max_j = std::max(max_j, std::abs(op.value));
+        if (op.kind == Statement::Kind::Weight)
+            max_h = std::max(max_h, std::abs(op.value));
     }
     const double chain_str = max_j > 0 ? 2.0 * max_j
                                        : (max_h > 0 ? 2.0 * max_h : 2.0);
     out.chain_strength_used = chain_str;
     out.pin_strength_used = chain_str;
 
-    auto var_of = [&](const std::string &s) {
-        return root_to_var.at(uf.find(sym_id(s)));
-    };
+    // Assign variable indices to roots, in first-appearance order.  A
+    // root is the smallest id of its set, so it is numbered before any
+    // other member.
+    std::vector<uint32_t> var_of(n);
+    for (uint32_t i = 0; i < n; ++i) {
+        const std::string &name = *low.names[i];
+        uint32_t r = uf.find(i);
+        if (r == i) {
+            var_of[i] = static_cast<uint32_t>(out.var_names.size());
+            out.var_names.push_back(name);
+            continue;
+        }
+        uint32_t v = var_of[i] = var_of[r];
+        // Prefer a user-visible name for reporting.
+        if (isInternalSymbol(out.var_names[v]) && !isInternalSymbol(name))
+            out.var_names[v] = name;
+    }
+    out.model.resize(out.var_names.size());
 
-    for (const auto &st : stmts) {
-        switch (st.kind) {
+    for (const Op &op : low.ops) {
+        const uint32_t a = var_of[op.a];
+        switch (op.kind) {
           case Statement::Kind::Weight:
-            out.model.addLinear(var_of(st.sym1), st.value);
+            out.model.addLinear(a, op.value);
             break;
-          case Statement::Kind::Coupling: {
-            uint32_t a = var_of(st.sym1);
-            uint32_t b = var_of(st.sym2);
-            if (a == b) {
+          case Statement::Kind::Coupling:
+            if (a == var_of[op.b]) {
                 // sigma^2 == 1: the coupling collapses to a constant.
-                out.energy_offset += st.value;
+                out.energy_offset += op.value;
             } else {
-                out.model.addQuadratic(a, b, st.value);
+                out.model.addQuadratic(a, var_of[op.b], op.value);
             }
             break;
-          }
-          case Statement::Kind::Chain: {
-            if (opts.merge_chains)
-                break; // already merged
-            uint32_t a = var_of(st.sym1);
-            uint32_t b = var_of(st.sym2);
-            if (a != b)
-                out.model.addQuadratic(a, b, -chain_str);
+          case Statement::Kind::Chain:
+            // Merged chains are already one variable.
+            if (!opts.merge_chains && a != var_of[op.b])
+                out.model.addQuadratic(a, var_of[op.b], -chain_str);
             break;
-          }
-          case Statement::Kind::Alias:
-            break; // always merged
-          case Statement::Kind::Pin: {
+          case Statement::Kind::Pin:
             // Bias toward the pinned value: H_VCC = -sigma (true),
             // H_GND = +sigma (false), scaled up to dominate.
-            out.model.addLinear(var_of(st.sym1),
-                                st.pin_value ? -chain_str : chain_str);
-            out.pins.emplace_back(st.sym1, st.pin_value);
+            out.model.addLinear(a, op.pin_value ? -chain_str : chain_str);
+            out.pins.emplace_back(*low.names[op.a], op.pin_value);
             break;
-          }
-          case Statement::Kind::Assert:
-            out.asserts.push_back(st.text);
-            break;
-          case Statement::Kind::UseMacro:
-          case Statement::Kind::Comment:
-            break;
+          default:
+            break; // aliases are always merged
         }
     }
+
+    // The intern table becomes the symbol table: same keys, each id
+    // replaced by its variable.
+    for (auto &[sym, id] : low.intern)
+        id = var_of[id];
+    out.sym_to_var = std::move(low.intern);
     stats::gauge("qmasm.assemble.vars", out.model.numVars());
     stats::gauge("qmasm.assemble.terms", out.model.numTerms());
     return out;

@@ -1,5 +1,6 @@
 #include "qac/qmasm/program.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "qac/util/logging.h"
@@ -19,6 +20,29 @@ numToString(double v)
             return s;
     }
     return format("%.17g", v);
+}
+
+/** The '\n's in a printed field: each one starts another line. */
+size_t
+breaks(const std::string &field)
+{
+    return static_cast<size_t>(std::count(field.begin(), field.end(), '\n'));
+}
+
+/** Lines @p s prints to: one, plus the breaks in the fields it prints. */
+size_t
+statementLines(const Statement &s)
+{
+    switch (s.kind) {
+      case Statement::Kind::Weight:
+      case Statement::Kind::Pin:
+        return 1 + breaks(s.sym1);
+      case Statement::Kind::Assert:
+      case Statement::Kind::Comment:
+        return 1 + breaks(s.text);
+      default:
+        return 1 + breaks(s.sym1) + breaks(s.sym2);
+    }
 }
 
 } // namespace
@@ -72,9 +96,21 @@ Program::toString() const
 }
 
 size_t
+countStatementLines(const std::vector<Statement> &stmts)
+{
+    size_t n = 0;
+    for (const auto &s : stmts)
+        n += statementLines(s);
+    return n;
+}
+
+size_t
 Program::lineCount() const
 {
-    return countLines(toString());
+    size_t n = countStatementLines(statements);
+    for (const auto &m : macros) // !begin_macro and !end_macro lines
+        n += 2 * (1 + breaks(m.name)) + countStatementLines(m.body);
+    return n;
 }
 
 bool

@@ -73,9 +73,14 @@ class Program
     /** Serialize back to QMASM text (macros first, then statements). */
     std::string toString() const;
 
-    /** countLines(toString()) — the Section 6.1 size metric. */
+    /** countLines(toString()), counted without printing — the
+     *  Section 6.1 size metric. */
     size_t lineCount() const;
 };
+
+/** Lines the statements print to: Program::lineCount() without the
+ *  macros. */
+size_t countStatementLines(const std::vector<Statement> &stmts);
 
 /**
  * Callback mapping an !include target to file contents.

@@ -164,30 +164,30 @@ Registry::snapshot() const
 }
 
 void
-count(const std::string &path, uint64_t n)
+count(std::string_view path, uint64_t n)
 {
     Registry &r = Registry::global();
     if (!r.enabled())
         return;
-    r.counter(path).add(n);
+    r.counter(std::string(path)).add(n);
 }
 
 void
-gauge(const std::string &path, uint64_t value)
+gauge(std::string_view path, uint64_t value)
 {
     Registry &r = Registry::global();
     if (!r.enabled())
         return;
-    r.counter(path).set(value);
+    r.counter(std::string(path)).set(value);
 }
 
 void
-record(const std::string &path, double value)
+record(std::string_view path, double value)
 {
     Registry &r = Registry::global();
     if (!r.enabled())
         return;
-    r.distribution(path).record(value);
+    r.distribution(std::string(path)).record(value);
 }
 
 ScopedTimer::ScopedTimer(const char *path) : path_(path)

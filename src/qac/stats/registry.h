@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qac::stats {
@@ -151,16 +152,16 @@ class Registry
     std::atomic<bool> enabled_{false};
 };
 
-// ---- recording helpers: no-ops while the registry is disabled ----
+// ---- recording helpers: no-ops (and no allocation) while disabled ----
 
 /** Add @p n to the counter at @p path. */
-void count(const std::string &path, uint64_t n = 1);
+void count(std::string_view path, uint64_t n = 1);
 
 /** Set the counter at @p path to an absolute (gauge) value. */
-void gauge(const std::string &path, uint64_t value);
+void gauge(std::string_view path, uint64_t value);
 
 /** Record one sample into the distribution at @p path. */
-void record(const std::string &path, double value);
+void record(std::string_view path, double value);
 
 /**
  * RAII timer: measures its scope into the Registry timer at @p path

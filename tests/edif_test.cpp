@@ -14,6 +14,7 @@
 
 #include "qac/artifact/qo.h"
 #include "qac/core/compiler.h"
+#include "qac/core/frontend.h"
 #include "qac/edif/reader.h"
 #include "qac/edif/writer.h"
 #include "qac/netlist/opt.h"
@@ -256,10 +257,12 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-/** One row of tests/golden/compile_stats.txt. */
+/** One row of tests/golden/compile_stats.txt; top is "-" for a
+ *  DIMACS source. */
 struct Golden
 {
     std::string program, source, top;
+    std::string frontend; ///< chosen by the source's extension
     size_t unroll_steps = 0;
     std::string qo_digest;
     core::CompileResult::Stats stats;
@@ -283,9 +286,10 @@ goldens()
             g.qo_digest >> s.edif_lines >> s.qmasm_lines >>
             s.stdcell_lines >> s.gates >> s.logical_vars;
         EXPECT_TRUE(row) << line;
+        g.frontend = core::frontendForPath(g.source);
         out.push_back(g);
     }
-    EXPECT_EQ(out.size(), 6u);
+    EXPECT_EQ(out.size(), 7u);
     return out;
 }
 
@@ -293,8 +297,12 @@ core::CompileResult
 compileGolden(const Golden &g)
 {
     core::CompileOptions co;
-    co.verilogOpts().top = g.top;
-    co.verilogOpts().unroll_steps = g.unroll_steps;
+    if (g.frontend == "dimacs") {
+        co.dimacsOpts();
+    } else {
+        co.verilogOpts().top = g.top;
+        co.verilogOpts().unroll_steps = g.unroll_steps;
+    }
     co.cache.enabled = false;
     return core::compile(readFile(std::string(QAC_SOURCE_DIR) + "/" +
                                   g.source),
@@ -310,14 +318,18 @@ reprinted(const std::string &edif)
 
 // EDIF bytes, .qo digests and CompileStats recorded from the compiler
 // as it was before compile stopped re-reading its EDIF (the golden
-// files), for the paper's example programs.
+// files), for the paper's example programs, plus a planted 3-CNF
+// through the DIMACS frontend (no EDIF).
 TEST(EdifGolden, CompileMatchesRecordedBytesAndStats)
 {
     for (const Golden &g : goldens()) {
         SCOPED_TRACE(g.program);
         core::CompileResult res = compileGolden(g);
+        EXPECT_EQ(res.frontend, g.frontend);
         EXPECT_EQ(res.edif_text,
-                  readFile(kGoldenDir + "/" + g.program + ".edif"));
+                  g.frontend == "dimacs"
+                      ? ""
+                      : readFile(kGoldenDir + "/" + g.program + ".edif"));
         EXPECT_EQ(artifact::qoDigestHex(artifact::serializeQo(res)),
                   g.qo_digest);
         EXPECT_EQ(res.stats.edif_lines, g.stats.edif_lines);
@@ -333,6 +345,8 @@ TEST(EdifGolden, CompileMatchesRecordedBytesAndStats)
 TEST(EdifDenoted, CompiledNetlistIsWhatItsEdifDenotes)
 {
     for (const Golden &g : goldens()) {
+        if (g.frontend == "dimacs")
+            continue; // no EDIF
         SCOPED_TRACE(g.program);
         core::CompileResult res = compileGolden(g);
         Netlist back = readEdif(res.edif_text);
